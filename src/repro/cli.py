@@ -174,10 +174,7 @@ def _write_sweep_metrics(run, report) -> None:
 
 def _write_sweep_decisions(run, report, sample_rate) -> None:
     """Persist + summarize the per-eviction decision logs for one sweep."""
-    from repro.telemetry.decisions import (
-        write_decisions_binary,
-        write_decisions_jsonl,
-    )
+    from repro.telemetry.decisions import write_decisions_jsonl
 
     missing = [cell for cell in report.cells
                if cell.ok and not getattr(cell, "decisions", None)]
@@ -189,7 +186,6 @@ def _write_sweep_decisions(run, report, sample_rate) -> None:
         print("no decision payloads to write", file=sys.stderr)
         return
     write_decisions_jsonl(run.decisions_path, cells)
-    write_decisions_binary(run.decisions_bin_path, cells)
     rows = []
     for cell in cells:
         summary = cell.get("summary", {})
@@ -236,7 +232,7 @@ def _cmd_sweep_scenario(args) -> int:
     from repro.objcache.replay import object_sweep
     from repro.runs.supervisor import SweepInterrupted, create_run, load_run
     from repro.scenarios.object_runner import object_scenario_traces
-    from repro.telemetry.object_decisions import write_object_decisions_jsonl
+    from repro.telemetry.decisions import write_decisions_jsonl
 
     run_root = args.run_dir or DEFAULT_RUN_ROOT
     if args.resume:
@@ -299,7 +295,7 @@ def _cmd_sweep_scenario(args) -> int:
         return 130
     run.write_report("\n".join(csv_parts) + "\n")
     if decision_cells:
-        write_object_decisions_jsonl(run.decisions_path, decision_cells)
+        write_decisions_jsonl(run.decisions_path, decision_cells)
         print(f"object decision log written to {run.decisions_path} "
               f"(drill down with: repro inspect {run.run_id})",
               file=sys.stderr)
@@ -323,6 +319,7 @@ def cmd_sweep(args) -> int:
         run = load_run(run_root, args.resume)
         if run.manifest.get("kind") == "objcache-sweep":
             # An interrupted object-scenario sweep: resume it in kind.
+            args.scenario = run.manifest.get("args", {}).get("scenario")
             return _cmd_sweep_scenario(args)
         # The manifest wins: the resumed sweep must rebuild the exact grid
         # (same EvalConfig, workloads, policies) for a byte-identical report.
@@ -470,11 +467,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_replay(args) -> int:
     from repro.runs.supervisor import create_run
-    from repro.telemetry.decisions import (
-        DecisionTrace,
-        write_decisions_binary,
-        write_decisions_jsonl,
-    )
+    from repro.telemetry.decisions import DecisionTrace, write_decisions_jsonl
 
     if args.decisions is not None and args.decisions < 1:
         raise ValueError(
@@ -514,7 +507,6 @@ def cmd_replay(args) -> int:
     })
     cells = [decisions.cell_payload()]
     write_decisions_jsonl(run.decisions_path, cells)
-    write_decisions_binary(run.decisions_bin_path, cells)
     run.mark("complete")
     print(f"decision log written to {run.decisions_path} "
           f"(drill down with: repro inspect {run.run_id})", file=sys.stderr)
@@ -524,21 +516,12 @@ def cmd_replay(args) -> int:
 def cmd_inspect(args) -> int:
     from repro.eval.inspect import (
         load_decision_cells,
-        load_object_decision_cells,
         render_inspection,
-        render_object_inspection,
         resolve_decision_log,
     )
-    from repro.telemetry.object_decisions import sniff_object_decision_log
 
     log_path = resolve_decision_log(args.run, default_root=DEFAULT_RUN_ROOT)
     print(f"reading {log_path}", file=sys.stderr)
-    if sniff_object_decision_log(log_path):
-        cells = load_object_decision_cells(
-            log_path, workload=args.workload, policy=args.policy
-        )
-        print(render_object_inspection(cells, top=args.top))
-        return 0
     cells = load_decision_cells(
         log_path, workload=args.workload, policy=args.policy
     )
@@ -1258,8 +1241,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--decisions", nargs="?", const=1, type=int,
                        default=None, metavar="SAMPLE_RATE",
                        help="record per-eviction decision logs with Belady "
-                            "regret grading (decisions.jsonl + decisions.bin "
-                            "in the run directory; optional value keeps "
+                            "regret grading (decisions.jsonl in the run "
+                            "directory; optional value keeps "
                             "every Nth event snapshot, aggregates always "
                             "cover all evictions; see repro inspect)")
     _add_eval_arguments(sweep)
@@ -1294,7 +1277,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "regret, worst decisions)"
     )
     inspect.add_argument("run",
-                         help="run directory, decisions.jsonl/.bin path, or "
+                         help="run directory, decisions.jsonl path, or "
                               f"a run id under {DEFAULT_RUN_ROOT} "
                               "(e.g. run-0001)")
     inspect.add_argument("--workload", default=None,

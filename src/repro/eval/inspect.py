@@ -2,7 +2,8 @@
 
 Takes the per-eviction decision log written by ``repro sweep --decisions``
 / ``repro replay --decisions`` (see :mod:`repro.telemetry.decisions`) and
-rebuilds, *without re-running any simulation*:
+rebuilds, *without re-running any simulation* (object-cache logs render as
+size-vs-victim profiles instead):
 
 * Figure 5-7-style victim profiles (age per last-access type, hits since
   insertion, recency distribution) via
@@ -24,6 +25,7 @@ from repro.eval.victim_analysis import VictimStatistics
 from repro.telemetry.decisions import (
     KIND_EVICT,
     event_from_json,
+    is_object_cell,
     read_decision_log,
 )
 
@@ -46,35 +48,11 @@ def load_decision_cells(path, workload: str = None, policy: str = None) -> list:
     return cells
 
 
-def _cell_summary(cell: dict) -> dict:
-    """The cell's aggregate counters (derived from events when absent)."""
-    summary = cell.get("summary")
-    if summary is not None:
-        return summary
-    # Binary logs carry only the event stream; rebuild what we can.
-    events = [event_from_json(entry) for entry in cell.get("events", ())]
-    graded = [event.grade for event in events if event.grade != 127]
-    optimal = sum(1 for grade in graded if grade == 1)
-    harmful = sum(1 for grade in graded if grade == -1)
-    neutral = len(graded) - optimal - harmful
-    return {
-        "evictions": len(events),
-        "sampled": len(events),
-        "dropped": 0,
-        "graded": len(graded),
-        "optimal": optimal,
-        "neutral": neutral,
-        "harmful": harmful,
-        "regret_x2": neutral + 2 * harmful,
-        "violations": len(cell.get("violations", ())),
-    }
-
-
 def regret_rows(cells) -> list:
     """One regret-summary row per cell (for the top-level table)."""
     rows = []
     for cell in cells:
-        summary = _cell_summary(cell)
+        summary = cell.get("summary", {})
         graded = summary.get("graded", 0)
         row = {
             "workload": cell.get("workload"),
@@ -192,15 +170,21 @@ def violations_block(cell: dict) -> str:
         return ""
     lines = [f"  {len(violations)} contract violation(s):"]
     for entry in violations[:5]:
-        detail = entry.get("detail", "(binary log: no detail)")
-        lines.append(f"    at access {entry.get('index')}: {detail}")
+        lines.append(f"    at access {entry.get('index')}: "
+                     f"{entry.get('detail')}")
     if len(violations) > 5:
         lines.append(f"    ... and {len(violations) - 5} more")
     return "\n".join(lines)
 
 
 def render_inspection(cells, top: int = 10) -> str:
-    """The full ``repro inspect`` report for a list of log cells."""
+    """The full ``repro inspect`` report for a list of log cells.
+
+    Object-cache cells render as size-vs-victim profiles instead of the
+    Figure 5-7 views.
+    """
+    if any(is_object_cell(cell) for cell in cells):
+        return _render_object_inspection(cells, top=top)
     blocks = [format_table(
         regret_rows(cells),
         headers=["workload", "policy", "evictions", "graded",
@@ -208,7 +192,7 @@ def render_inspection(cells, top: int = 10) -> str:
         title=f"decision log: {len(cells)} cell(s)",
     )]
     for cell in cells:
-        summary = _cell_summary(cell)
+        summary = cell.get("summary", {})
         title = (
             f"=== {cell.get('workload')} / {cell.get('policy')} "
             f"(sample rate {cell.get('sample_rate', 1)}, "
@@ -235,26 +219,7 @@ def render_inspection(cells, top: int = 10) -> str:
     return "\n\n".join(blocks)
 
 
-def load_object_decision_cells(path, workload: str = None,
-                               policy: str = None) -> list:
-    """Load an object decision log, optionally filtered (same contract as
-    :func:`load_decision_cells`)."""
-    from repro.telemetry.object_decisions import read_object_decision_log
-
-    cells = read_object_decision_log(path)
-    if workload:
-        cells = [cell for cell in cells if workload in str(cell.get("workload"))]
-    if policy:
-        cells = [cell for cell in cells if policy in str(cell.get("policy"))]
-    if not cells:
-        raise ValueError(
-            f"no object decision-log cells match workload={workload!r} "
-            f"policy={policy!r} in {path}"
-        )
-    return cells
-
-
-def render_object_inspection(cells, top: int = 10) -> str:
+def _render_object_inspection(cells, top: int = 10) -> str:
     """The ``repro inspect`` report for object-cache decision logs:
     per-cell regret table, size-vs-victim profiles, and the largest graded
     victims (sampled events)."""
@@ -301,11 +266,7 @@ def resolve_decision_log(path, default_root=".repro-runs"):
     Raises ``ValueError`` with a friendly message (listing known runs
     where that helps) instead of letting consumers hit a traceback.
     """
-    from repro.runs.supervisor import (
-        DECISIONS_BIN_NAME,
-        DECISIONS_NAME,
-        list_runs,
-    )
+    from repro.runs.supervisor import DECISIONS_NAME, list_runs
 
     candidate = Path(path)
     if not candidate.exists():
@@ -318,12 +279,10 @@ def resolve_decision_log(path, default_root=".repro-runs"):
         )
     if candidate.is_file():
         return candidate
-    for name in (DECISIONS_NAME, DECISIONS_BIN_NAME):
-        log_path = candidate / name
-        if log_path.is_file():
-            return log_path
+    log_path = candidate / DECISIONS_NAME
+    if log_path.is_file():
+        return log_path
     raise ValueError(
-        f"run directory {candidate} has no decision log "
-        f"({DECISIONS_NAME} / {DECISIONS_BIN_NAME}) — was the run started "
-        f"with --decisions?"
+        f"run directory {candidate} has no decision log ({DECISIONS_NAME})"
+        f" — was the run started with --decisions?"
     )

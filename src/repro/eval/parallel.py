@@ -12,6 +12,10 @@ over a :class:`~repro.runs.executor.ProcessTaskPool`:
 * pass 2 runs once per (workload, policy) cell, submitted as soon as that
   workload's pass 1 finishes (no barrier between the passes).
 
+The same sweep loop runs object-cache sweeps
+(:func:`repro.objcache.replay.object_sweep`): an object trace is a workload
+with no pass 1, so everything below holds for both cache kinds.
+
 Determinism: every cell is a pure function of its inputs, and results are
 merged sorted by ``(workload, policy)``, so ``jobs=1`` and ``jobs=N``
 produce byte-identical reports (:meth:`SweepReport.to_csv` /
@@ -52,7 +56,6 @@ from repro.cache.replacement.belady import BeladyPolicy
 from repro.cpu.system import SystemResult
 from repro.eval.prep_cache import PrepCache, workload_cache_key
 from repro.eval.runner import (
-    PreparedWorkload,
     _memory_cache,
     _memory_key,
     prepare_workload,
@@ -433,6 +436,185 @@ def _interrupt_guard(enabled: bool):
                 pass
 
 
+def _check_options(jobs: int, decisions: Optional[int]) -> None:
+    """The argument checks every sweep entry point makes before any work."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    if decisions is not None and decisions < 1:
+        raise ValueError("decisions sample rate must be >= 1")
+
+
+def _sweep(
+    workload_names,
+    policies,
+    cell,
+    cell_args: tuple,
+    *,
+    resolve,
+    jobs: int,
+    timeout: Optional[float],
+    retries: int,
+    journal,
+    started: float,
+    tag=None,
+    result_kind: Optional[str] = None,
+    adopt=None,
+    notify=None,
+) -> SweepReport:
+    """Run every (workload, policy) cell of one grid: the one sweep loop.
+
+    :func:`parallel_sweep` and :func:`repro.objcache.replay.object_sweep`
+    are thin entry points over this loop; they only say how a workload
+    becomes replayable and which task replays one cell.
+
+    * ``resolve(names)`` receives the workloads that still owe cells and
+      returns ``(ready, pending)``: ``ready`` maps a name to its replayable
+      input, ``pending`` maps a name to the ``(task, args)`` that prepares it
+      (the CPU pass 1; an object trace is ready from the start).
+    * ``cell(prepared, workload, policy, *cell_args)`` is a module-level task
+      (picklable) that returns a :class:`CellResult` and never raises.
+    * ``adopt(name, prepared)`` sees each workload as its preparation ends.
+    * Journal entries with a matching ``result_kind`` and ``tag`` are adopted
+      verbatim on resume; completed cells are appended with ``tag``.
+    """
+    notify = notify or (lambda message: None)
+    policy_names = [_policy_name(policy) for policy in policies]
+
+    # Resume: cells already journaled are adopted verbatim, not re-run.
+    done_cells = []
+    done_keys = set()
+    if journal is not None:
+        journal.reload()
+        grid = {
+            (name, policy) for name in workload_names for policy in policy_names
+        }
+        for entry in journal.entries():
+            if entry.get("result_kind") != result_kind:
+                continue  # the other cache kind's cells
+            if entry.get("tag") != tag:
+                continue  # another grid sharing this journal
+            done = cell_from_journal_entry(entry)
+            if done is None:
+                continue
+            key = (done.workload, done.policy)
+            if key in grid and key not in done_keys:
+                done_keys.add(key)
+                done_cells.append(done)
+        if done_cells:
+            notify(f"resume: {len(done_cells)} cells served from the journal")
+
+    #: policies still owed per workload; fully journaled workloads skip prep.
+    wanted = {
+        name: [
+            policy
+            for policy in policies
+            if (name, _policy_name(policy)) not in done_keys
+        ]
+        for name in workload_names
+    }
+    ready, pending = resolve([name for name in workload_names if wanted[name]])
+
+    results = []
+
+    def complete(result: CellResult) -> None:
+        results.append(result)
+        if result.seconds is not None:
+            telemetry.emit_span(
+                "cell.replay",
+                result.seconds,
+                workload=result.workload,
+                policy=result.policy,
+                ok=result.ok,
+            )
+        if journal is not None and result.ok:
+            journal.append(journal_cell_entry(result, tag=tag))
+
+    def prepared(name: str, value) -> None:
+        ready[name] = value
+        if adopt is not None:
+            adopt(name, value)
+
+    def prepare_failed(name: str, error: str) -> None:
+        for policy in wanted[name]:
+            complete(CellResult(name, _policy_name(policy), error=error))
+        notify(f"prepare FAILED for {name}")
+
+    # A watchdog needs a process to kill; retries need a process to restart.
+    pooled = jobs > 1 or timeout is not None or retries > 0
+    pool_stats = {}
+    try:
+        with _interrupt_guard(enabled=journal is not None):
+            if not pooled:
+                for name, (task, args) in pending.items():
+                    try:
+                        value = task(*args)
+                    except Exception:
+                        prepare_failed(name, traceback.format_exc())
+                        continue
+                    prepared(name, value)
+                for name in workload_names:
+                    if not wanted[name] or name not in ready:
+                        continue
+                    for policy in wanted[name]:
+                        complete(cell(ready[name], name, policy, *cell_args))
+                    notify(f"finished {name}")
+            else:
+                with ProcessTaskPool(
+                    max_workers=jobs, timeout=timeout, retries=retries
+                ) as pool:
+
+                    def submit_cells(name: str) -> None:
+                        for policy in wanted[name]:
+                            pool.submit(
+                                cell, ready[name], name, policy, *cell_args,
+                                tag=("replay", name, _policy_name(policy)),
+                            )
+
+                    for name, (task, args) in pending.items():
+                        pool.submit(task, *args, tag=("prepare", name))
+                    for name in list(ready):
+                        submit_cells(name)
+
+                    for outcome in pool.completed():
+                        if outcome.tag[0] == "prepare":
+                            name = outcome.tag[1]
+                            if not outcome.ok:
+                                prepare_failed(name, outcome.error)
+                                continue
+                            prepared(name, outcome.value)
+                            submit_cells(name)
+                        elif outcome.ok:
+                            complete(outcome.value)
+                        else:
+                            # Crash/timeout after all retries: a per-cell
+                            # failure, not a sweep failure.
+                            _, name, pname = outcome.tag
+                            complete(CellResult(name, pname, error=outcome.error))
+                    pool_stats = pool.stats.as_dict()
+    except (KeyboardInterrupt, SweepInterrupted):
+        if journal is None:
+            raise
+        # Workers are already reaped (pool context exit) and every completed
+        # cell was journaled as it finished — safe to resume.
+        raise SweepInterrupted(
+            "sweep interrupted — completed cells are journaled; resume "
+            "with --resume",
+            completed=len(done_cells) + len(results),
+        ) from None
+
+    results.extend(done_cells)
+    results.sort(key=lambda result: (result.workload, result.policy))
+    return SweepReport(
+        cells=results,
+        workloads=list(workload_names),
+        policies=policy_names,
+        jobs=jobs,
+        resumed=tuple(sorted(done_keys)),
+        pool_stats=pool_stats,
+        wall_seconds=time.perf_counter() - started,
+    )
+
+
 def parallel_sweep(
     eval_config: EvalConfig,
     workloads,
@@ -449,7 +631,6 @@ def parallel_sweep(
     progress=None,
     timeout: Optional[float] = None,
     retries: int = 0,
-    retry_backoff: float = 0.25,
     journal=None,
     sanitize: Optional[str] = None,
     decisions: Optional[int] = None,
@@ -466,8 +647,8 @@ def parallel_sweep(
     ``callable(str)`` for status lines.
 
     Reliability knobs: ``timeout`` is a per-cell wall-clock watchdog in
-    seconds, ``retries``/``retry_backoff`` bound the retry-with-backoff
-    schedule for transient worker failures, and ``journal`` (a
+    seconds, ``retries`` bounds the retry-with-backoff schedule for
+    transient worker failures, and ``journal`` (a
     :class:`~repro.runs.journal.RunJournal`) makes the sweep resumable —
     already-journaled cells are skipped and completed cells are appended
     durably.  Setting ``timeout`` or ``retries`` routes even ``jobs=1``
@@ -486,20 +667,16 @@ def parallel_sweep(
     :mod:`repro.telemetry.decisions`).  ``None`` leaves the replay path
     structurally unchanged.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if decisions is not None and decisions < 1:
-        raise ValueError("decisions sample rate must be >= 1")
+    _check_options(jobs, decisions)
     from repro.sanitize import resolve_mode
 
     # Resolve once in the parent: typos fail the sweep up front, and worker
     # processes see one explicit mode instead of racing the environment.
     sanitize = resolve_mode(sanitize)
-    sweep_started = time.perf_counter()
+    started = time.perf_counter()
     policies = list(policies)
     if include_belady and BELADY not in [_policy_name(p) for p in policies]:
         policies.append(BELADY)
-    policy_names = [_policy_name(p) for p in policies]
 
     disk = None
     if use_cache:
@@ -508,47 +685,20 @@ def parallel_sweep(
         else:
             disk = getattr(eval_config, "prep_cache", None)
 
-    traces = [
-        workload if isinstance(workload, Trace) else eval_config.trace(workload)
-        for workload in workloads
-    ]
-    workload_names = [trace.name for trace in traces]
+    traces = {}
+    for workload in workloads:
+        if not isinstance(workload, Trace):
+            workload = eval_config.trace(workload)
+        traces[workload.name] = workload
     notify = progress or (lambda message: None)
-
-    # Resume: cells already journaled are adopted verbatim, not re-run.
-    done_cells = []
-    done_keys = set()
-    if journal is not None:
-        journal.reload()
-        grid = {
-            (name, policy) for name in workload_names for policy in policy_names
-        }
-        for entry in journal.entries():
-            cell = cell_from_journal_entry(entry)
-            if cell is None:
-                continue
-            key = (cell.workload, cell.policy)
-            if key in grid and key not in done_keys:
-                done_keys.add(key)
-                done_cells.append(cell)
-        if done_cells:
-            notify(f"resume: {len(done_cells)} cells served from the journal")
-
-    #: policies still owed per workload; fully journaled workloads skip pass 1.
-    wanted = {
-        name: [
-            policy
-            for policy in policies
-            if (name, _policy_name(policy)) not in done_keys
-        ]
-        for name in workload_names
-    }
-    active = [trace for trace in traces if wanted[trace.name]]
 
     # Telemetry accumulators (parent side; deterministic pieces only ride
     # on the report — see repro.telemetry.instruments.sweep_snapshot).
     hier_stats = {}  # workload -> per-level summary from pass 1
     prep_seconds = {}  # workload -> worker/parent-measured pass-1 seconds
+    memory = _memory_cache(eval_config)
+    cached = []  # workloads served from the in-memory or on-disk cache
+    disk_keys = {}  # workload -> prep-cache key (when the disk cache is on)
 
     def note_prepared(name: str, prepared) -> None:
         stats = getattr(prepared, "hierarchy_stats", {})
@@ -558,197 +708,73 @@ def parallel_sweep(
         if seconds:
             prep_seconds[name] = seconds
 
-    # Resolve pass 1 from the in-memory and on-disk caches (parent side).
-    memory = _memory_cache(eval_config)
-    prepared_map = {}  # workload name -> PreparedWorkload
-    cached = []
-    pending = []  # (trace, disk_key)
-    for trace in active:
-        memory_key = _memory_key(trace, num_cores, l2_prefetcher)
-        disk_key = None
-        if core_config is None and memory_key in memory:
-            prepared_map[trace.name] = memory[memory_key]
-            note_prepared(trace.name, memory[memory_key])
-            cached.append(trace.name)
-            continue
-        if disk is not None:
-            disk_key = workload_cache_key(
-                eval_config,
-                trace,
-                num_cores=num_cores,
-                l2_prefetcher=l2_prefetcher,
-                core_config=core_config,
-            )
-            hit = disk.load(disk_key)
-            if hit is not None:
-                prepared_map[trace.name] = hit
-                note_prepared(trace.name, hit)
-                if core_config is None:
-                    memory[memory_key] = hit
-                cached.append(trace.name)
-                notify(f"prepared {trace.name} (cache hit)")
+    def resolve(names):
+        """Pass 1 from the in-memory and on-disk caches; the rest pend."""
+        ready, pending = {}, {}
+        worker_config = _worker_config(eval_config)
+        for name in names:
+            trace = traces[name]
+            memory_key = _memory_key(trace, num_cores, l2_prefetcher)
+            if core_config is None and memory_key in memory:
+                ready[name] = memory[memory_key]
+                note_prepared(name, ready[name])
+                cached.append(name)
                 continue
-        pending.append((trace, disk_key))
+            if disk is not None:
+                disk_keys[name] = workload_cache_key(
+                    eval_config,
+                    trace,
+                    num_cores=num_cores,
+                    l2_prefetcher=l2_prefetcher,
+                    core_config=core_config,
+                )
+                hit = disk.load(disk_keys[name])
+                if hit is not None:
+                    ready[name] = hit
+                    note_prepared(name, hit)
+                    if core_config is None:
+                        memory[memory_key] = hit
+                    cached.append(name)
+                    notify(f"prepared {name} (cache hit)")
+                    continue
+            pending[name] = (
+                _prepare_task,
+                (worker_config, trace, num_cores, l2_prefetcher, core_config),
+            )
+        return ready, pending
 
-    def adopt(trace, disk_key, prepared) -> None:
-        prepared_map[trace.name] = prepared
-        note_prepared(trace.name, prepared)
+    def adopt(name: str, prepared) -> None:
+        note_prepared(name, prepared)
         telemetry.emit_span(
             "cell.prepare",
             getattr(prepared, "prepare_seconds", 0.0),
-            workload=trace.name,
+            workload=name,
         )
         if core_config is None:
-            memory[_memory_key(trace, num_cores, l2_prefetcher)] = prepared
-        if disk is not None and disk_key is not None:
-            disk.store(disk_key, prepared)
-        notify(f"prepared {trace.name}")
+            key = _memory_key(traces[name], num_cores, l2_prefetcher)
+            memory[key] = prepared
+        if name in disk_keys:
+            disk.store(disk_keys[name], prepared)
+        notify(f"prepared {name}")
 
-    results = []
-
-    def complete(cell: CellResult) -> None:
-        results.append(cell)
-        if cell.seconds is not None:
-            telemetry.emit_span(
-                "cell.replay",
-                cell.seconds,
-                workload=cell.workload,
-                policy=cell.policy,
-                ok=cell.ok,
-            )
-        if journal is not None and cell.ok:
-            journal.append(journal_cell_entry(cell))
-
-    # A watchdog needs a process to kill; retries need a process to restart.
-    pooled = jobs > 1 or timeout is not None or retries > 0
-    pool_stats = {}
-    try:
-        with _interrupt_guard(enabled=journal is not None):
-            if not pooled:
-                for trace, disk_key in pending:
-                    try:
-                        prepared = prepare_workload(
-                            eval_config,
-                            trace,
-                            num_cores=num_cores,
-                            l2_prefetcher=l2_prefetcher,
-                            core_config=core_config,
-                        )
-                    except Exception:
-                        error = traceback.format_exc()
-                        for policy in wanted[trace.name]:
-                            complete(
-                                CellResult(
-                                    trace.name, _policy_name(policy), error=error
-                                )
-                            )
-                        notify(f"prepare FAILED for {trace.name}")
-                        continue
-                    adopt(trace, disk_key, prepared)
-                for name in workload_names:
-                    needed = wanted[name]
-                    prepared = prepared_map.get(name)
-                    if not needed or prepared is None:
-                        continue
-                    for policy in needed:
-                        complete(
-                            _replay_task(
-                                prepared, name, policy, allow_bypass,
-                                sanitize, decisions,
-                            )
-                        )
-                    notify(f"finished {name}")
-            else:
-                worker_config = _worker_config(eval_config)
-                with ProcessTaskPool(
-                    max_workers=jobs,
-                    timeout=timeout,
-                    retries=retries,
-                    backoff=retry_backoff,
-                ) as pool:
-
-                    def submit_replays(name: str, prepared: PreparedWorkload):
-                        for policy in wanted[name]:
-                            pool.submit(
-                                _replay_task,
-                                prepared,
-                                name,
-                                policy,
-                                allow_bypass,
-                                sanitize,
-                                decisions,
-                                tag=("replay", name, _policy_name(policy)),
-                            )
-
-                    prep_info = {
-                        trace.name: (trace, disk_key)
-                        for trace, disk_key in pending
-                    }
-                    for trace, _disk_key in pending:
-                        pool.submit(
-                            _prepare_task,
-                            worker_config,
-                            trace,
-                            num_cores,
-                            l2_prefetcher,
-                            core_config,
-                            tag=("prepare", trace.name),
-                        )
-                    for name, prepared in list(prepared_map.items()):
-                        submit_replays(name, prepared)
-
-                    for outcome in pool.completed():
-                        if outcome.tag[0] == "prepare":
-                            trace, disk_key = prep_info[outcome.tag[1]]
-                            if not outcome.ok:
-                                for policy in wanted[trace.name]:
-                                    complete(
-                                        CellResult(
-                                            trace.name,
-                                            _policy_name(policy),
-                                            error=outcome.error,
-                                        )
-                                    )
-                                notify(f"prepare FAILED for {trace.name}")
-                                continue
-                            adopt(trace, disk_key, outcome.value)
-                            submit_replays(trace.name, outcome.value)
-                        else:
-                            _, name, pname = outcome.tag
-                            if outcome.ok:
-                                complete(outcome.value)
-                            else:
-                                # Crash/timeout after all retries: a per-cell
-                                # failure, not a sweep failure.
-                                complete(
-                                    CellResult(name, pname, error=outcome.error)
-                                )
-                    pool_stats = pool.stats.as_dict()
-    except (KeyboardInterrupt, SweepInterrupted):
-        if journal is None:
-            raise
-        # Workers are already reaped (pool context exit) and every completed
-        # cell was journaled as it finished — safe to resume.
-        raise SweepInterrupted(
-            "sweep interrupted — completed cells are journaled; resume "
-            "with --resume",
-            completed=len(done_cells) + len(results),
-        ) from None
-
-    results.extend(done_cells)
-    results.sort(key=lambda cell: (cell.workload, cell.policy))
-    return SweepReport(
-        cells=results,
-        workloads=workload_names,
-        policies=policy_names,
+    report = _sweep(
+        list(traces),
+        policies,
+        _replay_task,
+        (allow_bypass, sanitize, decisions),
+        resolve=resolve,
         jobs=jobs,
-        cached_workloads=tuple(cached),
-        resumed=tuple(sorted(done_keys)),
-        pool_stats=pool_stats,
-        prep_cache_stats=disk.stats() if disk is not None else {},
-        hierarchy_stats={
-            name: hier_stats[name] for name in sorted(hier_stats)
-        },
-        prepare_seconds=dict(prep_seconds),
-        wall_seconds=time.perf_counter() - sweep_started,
+        timeout=timeout,
+        retries=retries,
+        journal=journal,
+        started=started,
+        adopt=adopt,
+        notify=notify,
     )
+    report.cached_workloads = tuple(cached)
+    report.prep_cache_stats = disk.stats() if disk is not None else {}
+    report.hierarchy_stats = {
+        name: hier_stats[name] for name in sorted(hier_stats)
+    }
+    report.prepare_seconds = dict(prep_seconds)
+    return report

@@ -7,15 +7,17 @@ float ratios, cells sort by ``(workload, policy)``, and ``--jobs 1`` vs
 ``--jobs N`` reports are byte-identical (the same acceptance bar the CPU
 sweep meets).
 
-The sweep reuses the CPU sweep's report types (`CellResult`/`SweepReport`),
-which duck-type on the result object — object cells carry an
-:class:`ObjectCacheResult` whose ``byte_hit_rate``/``object_hit_rate``
-drive the object-aware columns in ``SweepReport.to_csv``/``format``.
+The sweep runs through the CPU sweep loop and report types
+(`CellResult`/`SweepReport`), which duck-type on the result object — object
+cells carry an :class:`ObjectCacheResult` whose ``byte_hit_rate``/
+``object_hit_rate`` drive the object-aware columns in
+``SweepReport.to_csv``/``format``.
 """
 
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import asdict, dataclass
 
 from repro import sanitize as sanitize_mod
@@ -121,7 +123,7 @@ def replay_object_trace(
         trace_obj = ObjectDecisionTrace(
             workload=trace.name,
             policy=policy,
-            sample_rate=max(1, int(decisions)),
+            sample_rate=decisions,
             oracle=ObjectFutureOracle(trace.requests),
             total=len(trace.requests),
         )
@@ -158,16 +160,30 @@ def replay_object_trace(
 # -- sweep --------------------------------------------------------------------
 
 
-def _cell_task(trace: ObjectTrace, capacity_bytes: int, policy: str,
-               policy_params, admission, sanitize, decisions):
-    """Worker entry (module-level for pickling)."""
+def _cell_task(trace: ObjectTrace, workload: str, policy: str,
+               capacity_bytes: int, policy_params: dict, admission,
+               sanitize, decisions):
+    """One object cell (module-level for pickling); never raises."""
+    from repro.eval.parallel import CellResult
+
     started = time.perf_counter()
-    outcome = replay_object_trace(
-        trace, capacity_bytes, policy,
-        policy_params=policy_params, admission=admission,
-        sanitize=sanitize, decisions=decisions,
+    try:
+        outcome = replay_object_trace(
+            trace, capacity_bytes, policy,
+            policy_params=policy_params.get(policy), admission=admission,
+            sanitize=sanitize, decisions=decisions,
+        )
+    except Exception:  # noqa: BLE001 - cell isolation
+        return CellResult(
+            workload, policy, error=traceback.format_exc(),
+            seconds=time.perf_counter() - started,
+        )
+    return CellResult(
+        workload, policy, result=outcome.result,
+        seconds=time.perf_counter() - started,
+        violations=outcome.violations,
+        decisions=outcome.decisions,
     )
-    return outcome, time.perf_counter() - started
 
 
 def object_sweep(
@@ -190,143 +206,37 @@ def object_sweep(
     ``traces`` is an iterable of :class:`ObjectTrace`;
     ``policy_params`` maps policy name -> kwargs dict.
 
-    ``journal`` (a :class:`~repro.runs.journal.RunJournal`) gives object
-    sweeps the same crash-safety contract as scalar sweeps: every
-    completed cell is durably appended as it finishes, already-journaled
-    cells are adopted verbatim on resume (so a SIGKILL mid-sweep resumes
-    to a byte-identical report), and SIGINT/SIGTERM raise
-    :class:`~repro.runs.supervisor.SweepInterrupted` only after the
-    journal is flushed.  ``journal_tag`` disambiguates grids that share a
-    journal (the per-seed passes of a multi-seed scenario).
+    Runs through the CPU sweep loop (:mod:`repro.eval.parallel`): an
+    object trace is a workload with no pass 1, and each cell is one
+    :func:`replay_object_trace` call.  So object sweeps share the CPU
+    sweep's guards: ``jobs``/``decisions`` checks, the process pool with its
+    watchdog (``timeout``) and ``retries``, and the ``journal``
+    (a :class:`~repro.runs.journal.RunJournal`) crash-safety contract —
+    completed cells are appended as they finish, journaled cells are
+    adopted on resume, and SIGINT/SIGTERM raise
+    :class:`~repro.runs.supervisor.SweepInterrupted` only after the journal
+    is flushed.  ``journal_tag`` disambiguates grids that share a journal
+    (the per-seed passes of a multi-seed scenario).
     """
-    from repro.eval.parallel import (
-        CellResult,
-        SweepReport,
-        _interrupt_guard,
-        cell_from_journal_entry,
-        journal_cell_entry,
-    )
-    from repro.runs.supervisor import SweepInterrupted
+    from repro.eval.parallel import _check_options, _sweep
 
-    traces = list(traces)
-    policies = list(policies)
-    params = policy_params or {}
-    mode = sanitize_mod.resolve_mode(sanitize)
-    wall_started = time.perf_counter()
-
-    # Resume: adopt cells this journal already holds for this grid + tag.
-    done_cells = []
-    done_keys = set()
-    if journal is not None:
-        journal.reload()
-        grid = {(trace.name, policy) for trace in traces
-                for policy in policies}
-        for entry in journal.entries():
-            if entry.get("result_kind") != "object":
-                continue
-            if entry.get("tag") != journal_tag:
-                continue
-            cell = cell_from_journal_entry(entry)
-            if cell is None:
-                continue
-            key = (cell.workload, cell.policy)
-            if key in grid and key not in done_keys:
-                done_keys.add(key)
-                done_cells.append(cell)
-
-    def complete(cell) -> None:
-        cells.append(cell)
-        if journal is not None and cell.ok:
-            journal.append(journal_cell_entry(cell, tag=journal_tag))
-
-    cells = []
-    pool_stats = {}
-    try:
-        with _interrupt_guard(enabled=journal is not None):
-            if jobs <= 1 and timeout is None and retries == 0:
-                for trace in traces:
-                    for policy in policies:
-                        if (trace.name, policy) in done_keys:
-                            continue
-                        complete(_run_cell(
-                            trace, capacity_bytes, policy,
-                            params.get(policy), admission, mode, decisions,
-                        ))
-            else:
-                from repro.runs.executor import ProcessTaskPool
-
-                pool = ProcessTaskPool(jobs, timeout=timeout,
-                                       retries=retries)
-                for trace in traces:
-                    for policy in policies:
-                        if (trace.name, policy) in done_keys:
-                            continue
-                        pool.submit(
-                            _cell_task, trace, capacity_bytes, policy,
-                            params.get(policy), admission, mode, decisions,
-                            tag=(trace.name, policy),
-                        )
-                for outcome in pool.completed():
-                    workload, policy = outcome.tag
-                    if outcome.ok:
-                        replay_outcome, seconds = outcome.value
-                        complete(CellResult(
-                            workload=workload, policy=policy,
-                            result=replay_outcome.result,
-                            seconds=seconds,
-                            violations=replay_outcome.violations,
-                            decisions=replay_outcome.decisions,
-                        ))
-                    else:
-                        complete(CellResult(
-                            workload=workload, policy=policy,
-                            error=outcome.error,
-                        ))
-                pool_stats = pool.stats.as_dict()
-    except (KeyboardInterrupt, SweepInterrupted):
-        if journal is None:
-            raise
-        raise SweepInterrupted(
-            "object sweep interrupted — completed cells are journaled; "
-            "resume with --resume",
-            completed=len(done_cells) + len(cells),
-        ) from None
-
-    cells.extend(done_cells)
-    cells.sort(key=lambda cell: (cell.workload, cell.policy))
-    return SweepReport(
-        cells=cells,
-        workloads=[trace.name for trace in traces],
-        policies=policies,
-        jobs=jobs,
-        resumed=tuple(sorted(done_keys)),
-        pool_stats=pool_stats,
-        wall_seconds=time.perf_counter() - wall_started,
-    )
-
-
-def _run_cell(trace, capacity_bytes, policy, policy_params, admission,
-              mode, decisions):
-    from repro.eval.parallel import CellResult
-
+    _check_options(jobs, decisions)
     started = time.perf_counter()
-    try:
-        outcome = replay_object_trace(
-            trace, capacity_bytes, policy,
-            policy_params=policy_params, admission=admission,
-            sanitize=mode, decisions=decisions,
-        )
-    except Exception as error:  # noqa: BLE001 - cell isolation
-        return CellResult(
-            workload=trace.name, policy=policy,
-            error=f"{error.__class__.__name__}: {error}",
-        )
-    return CellResult(
-        workload=trace.name, policy=policy,
-        result=outcome.result,
-        seconds=time.perf_counter() - started,
-        violations=outcome.violations,
-        decisions=outcome.decisions,
+    traces = {trace.name: trace for trace in traces}
+    return _sweep(
+        list(traces),
+        list(policies),
+        _cell_task,
+        (capacity_bytes, policy_params or {}, admission,
+         sanitize_mod.resolve_mode(sanitize), decisions),
+        resolve=lambda names: ({name: traces[name] for name in names}, {}),
+        jobs=jobs,
+        timeout=timeout,
+        retries=retries,
+        journal=journal,
+        started=started,
+        tag=journal_tag,
+        result_kind="object",
     )
 
 

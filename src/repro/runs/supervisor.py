@@ -13,7 +13,7 @@ sweep``).  Its directory holds everything needed to resume after a crash:
                         # docs/observability.md)
         spans.jsonl     # span trace events (with --metrics)
         decisions.jsonl # per-eviction decision log (with --decisions;
-        decisions.bin   # rendered by `repro inspect` — see
+                        # rendered by `repro inspect` — see
                         # repro.telemetry.decisions)
         artifacts.json  # cross-artifact integrity manifest (size + sha256
                         # per artifact; verified by `repro fsck`)
@@ -41,7 +41,6 @@ REPORT_NAME = "report.csv"
 METRICS_NAME = "metrics.json"
 SPANS_NAME = "spans.jsonl"
 DECISIONS_NAME = "decisions.jsonl"
-DECISIONS_BIN_NAME = "decisions.bin"
 
 #: artifact name -> integrity family recorded in ``artifacts.json``.
 ARTIFACT_FAMILIES = {
@@ -50,7 +49,6 @@ ARTIFACT_FAMILIES = {
     METRICS_NAME: "metrics",
     SPANS_NAME: "spans",
     DECISIONS_NAME: "decision-log",
-    DECISIONS_BIN_NAME: "decision-log-binary",
 }
 
 
@@ -96,10 +94,6 @@ class RunDirectory:
     @property
     def decisions_path(self) -> Path:
         return self.path / DECISIONS_NAME
-
-    @property
-    def decisions_bin_path(self) -> Path:
-        return self.path / DECISIONS_BIN_NAME
 
     def journal(self) -> RunJournal:
         return RunJournal(self.journal_path)

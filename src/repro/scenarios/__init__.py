@@ -28,7 +28,6 @@ from repro.scenarios.loader import (
     parse_scenario_text,
     resolve_scenario,
 )
-from repro.scenarios.object_runner import run_object_scenario
 from repro.scenarios.object_schema import (
     ObjectExpectation,
     ObjectScenario,
@@ -82,7 +81,6 @@ __all__ = [
     "report_digest",
     "require_ok",
     "resolve_scenario",
-    "run_object_scenario",
     "run_scenario",
     "scenario_from_dict",
     "write_golden",

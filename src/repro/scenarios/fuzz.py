@@ -13,6 +13,7 @@ validator's rejection paths.
 * the run completes under the requested sanitizer mode (no failed cells),
 * conservation invariants hold on every cell (hits + misses == accesses,
   evictions ≤ fills, …),
+* no cell records a sanitizer violation,
 * the canonical report is byte-identical across worker counts.
 
 Hypothesis is an optional dependency of the library (tests require it);
@@ -267,28 +268,15 @@ def object_scenario_dicts():
     )
 
 
-def check_object_scenario_contract(data: dict, jobs=(1, 2)) -> dict:
-    """The object-cache fuzz property: same contract as
-    :func:`check_scenario_contract` — deterministic across worker counts, no
-    failed cells, byte/object conservation on every cell (admitted bytes ==
-    evicted bytes + resident bytes, occupancy under capacity, ...) — plus no
-    sanitizer violations from the admission/eviction contract wrappers.
-    """
-    report = check_scenario_contract(data, jobs=jobs)
-    for cell in report["cells"]:
-        assert not cell.get("violations"), (
-            f"{cell['workload']}/{cell['policy']}: admission/eviction "
-            f"contract violated: {cell['violations']}"
-        )
-    return report
-
-
 def check_scenario_contract(data: dict, jobs=(1, 2)) -> dict:
     """Assert the simulator contract for one generated scenario document.
 
-    Runs the scenario once per entry in ``jobs`` and asserts the canonical
-    reports are byte-identical, that no cell failed, and that conservation
-    holds.  Returns the first report payload (for further assertions).
+    Works for both scenario kinds.  Runs the scenario once per entry in
+    ``jobs`` and asserts the canonical reports are byte-identical, that no
+    cell failed, that conservation holds (the kind's own laws), and that no
+    cell recorded a sanitizer violation (the policy, or for object caches
+    the admission/eviction contract wrappers).  Returns the first report
+    payload (for further assertions).
     """
     scenario = scenario_from_dict(data, source="<fuzz>")
     reports = [run_scenario(scenario, jobs=count) for count in jobs]
@@ -302,4 +290,9 @@ def check_scenario_contract(data: dict, jobs=(1, 2)) -> dict:
         "conservation invariants violated:\n  "
         + "\n  ".join(conservation["problems"])
     )
+    for cell in reports[0]["cells"]:
+        assert not cell.get("violations"), (
+            f"{cell['workload']}/{cell['policy']}: policy contract "
+            f"violated: {cell['violations']}"
+        )
     return reports[0]

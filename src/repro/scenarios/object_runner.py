@@ -1,12 +1,11 @@
-"""Execute ``object_cache`` scenarios into canonical report payloads.
+"""What ``object_cache`` scenarios do differently inside ``run_scenario``.
 
-Mirrors :mod:`repro.scenarios.runner` for the object kind: cells sorted by
-``(seed, workload, policy)``, full-``repr`` floats, byte-identical payloads
-across job counts — the same guarantee the golden-regression harness pins —
-plus the object conservation laws (byte/object accounting from
-:func:`repro.objcache.core.conservation_problems`) on every cell and the
-object expectation checks (byte/object hit-rate bounds, ``beats`` claims,
-size-aware-Belady regret ceilings).
+:func:`repro.scenarios.runner.run_scenario` runs both scenario kinds through
+one body (cells sorted by ``(seed, workload, policy)``, full-``repr`` floats,
+byte-identical payloads across job counts, conservation on every cell, the
+declared expectations).  The object kind supplies only its traces, its
+sweep call, its cell fields and its conservation law (byte/object
+accounting from :func:`repro.objcache.core.conservation_problems`).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from repro.objcache.core import conservation_problems
 from repro.objcache.replay import object_sweep
 from repro.objcache.workloads import generate_object_trace
 from repro.scenarios.object_schema import ObjectScenario
-from repro.scenarios.runner import REPORT_FORMAT
 
 
 def object_scenario_traces(scenario: ObjectScenario, seed: int) -> list:
@@ -36,205 +34,35 @@ def object_scenario_traces(scenario: ObjectScenario, seed: int) -> list:
     return traces
 
 
-def _cell_payload(cell, seed: int, capacity_bytes: int,
-                  decisions_enabled: bool) -> dict:
-    result = cell.result
-    payload = {
-        "workload": cell.workload,
-        "policy": cell.policy,
-        "seed": seed,
-        "status": cell.status,
+def sweep_seed(scenario: ObjectScenario, seed: int, jobs: int, progress,
+               decisions):
+    """One seed's object sweep: scenario traces through ``object_sweep``."""
+    report = object_sweep(
+        object_scenario_traces(scenario, seed),
+        scenario.config.capacity_bytes,
+        list(scenario.policies),
+        admission=scenario.admission,
+        policy_params=scenario.params,
+        jobs=jobs,
+        sanitize=scenario.sanitize,
+        decisions=decisions,
+    )
+    if progress is not None:
+        progress(f"seed {seed}: {len(report.cells)} object cells in "
+                 f"{report.wall_seconds:.2f}s")
+    return report
+
+
+def cell_fields(scenario: ObjectScenario, result) -> dict:
+    """The object metrics a canonical report cell carries."""
+    return {
         "byte_hit_rate": result.byte_hit_rate,
         "object_hit_rate": result.object_hit_rate,
-        "capacity_bytes": capacity_bytes,
+        "capacity_bytes": scenario.config.capacity_bytes,
         "stats": result.stats_dict(),
     }
-    if cell.violations:
-        payload["violations"] = list(cell.violations)
-    if decisions_enabled and cell.decisions:
-        summary = cell.decisions.get("summary", {})
-        payload["regret"] = {
-            key: summary.get(key, 0)
-            for key in ("evictions", "graded", "optimal", "neutral",
-                        "harmful", "regret_x2")
-        }
-    return payload
 
 
-def run_object_scenario(
-    scenario: ObjectScenario,
-    jobs: int = 1,
-    cache_dir=None,
-    progress=None,
-    decisions: int = None,
-) -> dict:
-    """Run one object scenario; return its canonical report payload.
-
-    Same contract as :func:`repro.scenarios.runner.run_scenario`:
-    ``decisions`` forces a decision-log sample rate, ``regret`` expectations
-    auto-enable tracing at rate 1, failed cells raise.  ``cache_dir`` is
-    accepted for signature parity (object replays need no prep pass).
-    """
-    del cache_dir  # no prepared-state cache in the object world
-    if decisions is None and any(e.check == "regret" for e in scenario.expect):
-        decisions = 1
-    capacity = scenario.config.capacity_bytes
-    cells = []
-    for seed in scenario.run_seeds:
-        traces = object_scenario_traces(scenario, seed)
-        report = object_sweep(
-            traces,
-            capacity,
-            list(scenario.policies),
-            admission=scenario.admission,
-            policy_params=scenario.params,
-            jobs=jobs,
-            sanitize=scenario.sanitize,
-            decisions=decisions,
-        )
-        failures = report.failures()
-        if failures:
-            first = failures[0]
-            last_line = (first.error or "?").strip().splitlines()[-1]
-            raise RuntimeError(
-                f"scenario {scenario.name!r}: {len(failures)} cell(s) failed "
-                f"(first: {first.workload}/{first.policy}: {last_line})"
-            )
-        for cell in sorted(report.cells,
-                           key=lambda c: (c.workload, c.policy)):
-            cells.append(_cell_payload(cell, seed, capacity,
-                                       decisions is not None))
-        if progress is not None:
-            progress(f"seed {seed}: {len(report.cells)} object cells in "
-                     f"{report.wall_seconds:.2f}s")
-    payload = {
-        "format": REPORT_FORMAT,
-        "scenario": scenario.as_dict(),
-        "cells": cells,
-        "conservation": _check_conservation(cells, capacity),
-        "expectations": evaluate_object_expectations(scenario, cells),
-    }
-    payload["ok"] = (
-        payload["conservation"]["ok"]
-        and all(e["status"] == "pass" for e in payload["expectations"])
-    )
-    return payload
-
-
-def _check_conservation(cells, capacity_bytes: int) -> dict:
-    problems = []
-    for cell in cells:
-        for problem in conservation_problems(cell["stats"], capacity_bytes):
-            problems.append(
-                f"{cell['workload']}/{cell['policy']} (seed "
-                f"{cell['seed']}): {problem}"
-            )
-    return {"ok": not problems, "problems": problems}
-
-
-# -- expectations --------------------------------------------------------------
-
-
-def _matching(cells, expectation):
-    for cell in cells:
-        if expectation.policy and cell["policy"] != expectation.policy:
-            continue
-        if expectation.workload and cell["workload"] != expectation.workload:
-            continue
-        yield cell
-
-
-def _check_rate(cells, expectation, metric: str) -> list:
-    failures = []
-    label = metric.replace("_", " ")
-    for cell in _matching(cells, expectation):
-        rate = cell[metric]
-        if expectation.min is not None and rate < expectation.min:
-            failures.append(
-                f"{cell['workload']}/{cell['policy']}: {label} {rate:.4f} "
-                f"below min {expectation.min}"
-            )
-        if expectation.max is not None and rate > expectation.max:
-            failures.append(
-                f"{cell['workload']}/{cell['policy']}: {label} {rate:.4f} "
-                f"above max {expectation.max}"
-            )
-    return failures
-
-
-def _check_beats(cells, expectation) -> list:
-    """``policy`` must strictly beat ``over`` on ``metric``, cell by cell.
-
-    The claim is evaluated per (workload, seed) pair — an aggregate win that
-    hides a per-workload loss fails — with an optional ``min`` margin
-    (absolute difference the winner must clear, default strictly greater).
-    """
-    baselines = {
-        (cell["workload"], cell["seed"]): cell[expectation.metric]
-        for cell in cells if cell["policy"] == expectation.over
-    }
-    margin = expectation.min or 0.0
-    failures = []
-    compared = 0
-    for cell in _matching(cells, expectation):
-        if cell["policy"] != expectation.policy:
-            continue
-        baseline = baselines.get((cell["workload"], cell["seed"]))
-        if baseline is None:
-            continue
-        compared += 1
-        value = cell[expectation.metric]
-        if not value > baseline + margin:
-            failures.append(
-                f"{cell['workload']} (seed {cell['seed']}): "
-                f"{expectation.policy} {expectation.metric} {value:.4f} does "
-                f"not beat {expectation.over} {baseline:.4f}"
-                + (f" by {margin}" if margin else "")
-            )
-    if not compared:
-        return [f"no cells compare {expectation.policy!r} against "
-                f"{expectation.over!r}"]
-    return failures
-
-
-def _check_regret(cells, expectation) -> list:
-    failures = []
-    seen = False
-    for cell in _matching(cells, expectation):
-        regret = cell.get("regret")
-        if regret is None or not regret.get("graded"):
-            continue
-        seen = True
-        value = regret["regret_x2"] / (2 * regret["graded"])
-        if value > expectation.max:
-            failures.append(
-                f"{cell['workload']}/{cell['policy']}: size-aware Belady "
-                f"regret {value:.4f} above ceiling {expectation.max}"
-            )
-    if not seen:
-        return ["no graded decisions to check regret against"]
-    return failures
-
-
-def evaluate_object_expectations(scenario: ObjectScenario, cells) -> list:
-    """Check every declared expectation; returns one result row each."""
-    results = []
-    for expectation in scenario.expect:
-        if expectation.check == "conservation":
-            failures = [
-                problem for cell in _matching(cells, expectation)
-                for problem in conservation_problems(
-                    cell["stats"], scenario.config.capacity_bytes)
-            ]
-        elif expectation.check in ("byte_hit_rate", "object_hit_rate"):
-            failures = _check_rate(cells, expectation, expectation.check)
-        elif expectation.check == "beats":
-            failures = _check_beats(cells, expectation)
-        else:  # regret (the schema admits nothing else)
-            failures = _check_regret(cells, expectation)
-        results.append({
-            "expect": expectation.as_dict(),
-            "status": "pass" if not failures else "fail",
-            "failures": failures,
-        })
-    return results
+def cell_conservation(scenario: ObjectScenario, stats: dict) -> list:
+    """Violated byte/object accounting laws in one cell's counters."""
+    return conservation_problems(stats, scenario.config.capacity_bytes)

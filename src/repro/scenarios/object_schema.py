@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 
 from repro.scenarios.schema import (
     FORMAT_VERSION,
-    SANITIZE_MODES,
     ScenarioError,
     _Check,
-    _NAME_PATTERN,
+    _parse_common,
 )
 
 #: Expectation checks the object kind understands.
@@ -195,7 +194,7 @@ def _parse_config(data, check: _Check) -> ObjectScenarioConfig:
     )
 
 
-def _parse_workload(data, path, config, check: _Check) -> ObjectWorkloadClause:
+def _parse_workload(data, path, check: _Check) -> ObjectWorkloadClause:
     from repro.objcache.workloads import WORKLOAD_KINDS, validate_size_spec
 
     if not isinstance(data, dict):
@@ -220,10 +219,9 @@ def _parse_workload(data, path, config, check: _Check) -> ObjectWorkloadClause:
         check.fail(path, f"unknown workload key(s) for kind {kind!r}: "
                          f"{', '.join(sorted(unknown))}")
     objects = check.integer(data, path, "objects", 1000, 1, 10_000_000)
-    length = None
+    length = None  # None = config.requests
     if "length" in data:
-        length = check.integer(data, path, "length", config.requests,
-                               1, 5_000_000)
+        length = check.integer(data, path, "length", None, 1, 5_000_000)
     alpha = check.number(data, path, "alpha", 1.0, 0.05, 4.0)
     sizes = data.get("sizes", {})
     for problem in validate_size_spec(sizes):
@@ -327,11 +325,18 @@ def _parse_expectation(data, path, policies, workload_names, check: _Check):
     )
 
 
-_TOP_LEVEL_KEYS = {
-    "format", "kind", "name", "title", "description", "figure", "config",
-    "workloads", "policies", "admission", "seeds", "sanitize", "golden",
-    "expect", "params",
-}
+def _parse_workloads(data, check: _Check) -> list:
+    raw_workloads = data.get("workloads", [])
+    if not isinstance(raw_workloads, list):
+        check.fail("workloads", f"expected a list, got {raw_workloads!r}")
+        raw_workloads = []
+    workloads = [
+        _parse_workload(entry, f"workloads[{index}]", check)
+        for index, entry in enumerate(raw_workloads)
+    ]
+    if not workloads:
+        check.fail("workloads", "scenario has no workloads")
+    return workloads
 
 
 def object_scenario_from_dict(data, source: str = None) -> ObjectScenario:
@@ -339,127 +344,28 @@ def object_scenario_from_dict(data, source: str = None) -> ObjectScenario:
     from repro.objcache.policies import OBJECT_POLICY_REGISTRY
 
     check = _Check()
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        check.fail("top level",
-                   f"unknown key(s): {', '.join(sorted(unknown))}")
-    version = data.get("format", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        check.fail("format", f"unsupported scenario format {version!r} "
-                             f"(this build reads format {FORMAT_VERSION})")
-
-    name = data.get("name")
-    if not isinstance(name, str) or not _NAME_PATTERN.match(name or ""):
-        check.fail("name", f"{name!r} is not a valid scenario name "
-                           "(lowercase letters, digits, '.', '_', '-')")
-        name = "invalid"
-
-    config = _parse_config(data, check)
-
-    raw_workloads = data.get("workloads", [])
-    if not isinstance(raw_workloads, list):
-        check.fail("workloads", f"expected a list, got {raw_workloads!r}")
-        raw_workloads = []
-    workloads = [
-        _parse_workload(entry, f"workloads[{index}]", config, check)
-        for index, entry in enumerate(raw_workloads)
-    ]
-    if not workloads:
-        check.fail("workloads", "scenario has no workloads")
-    seen = set()
-    for clause in workloads:
-        if clause.name in seen:
-            check.fail("workloads",
-                       f"duplicate workload name {clause.name!r}")
-        seen.add(clause.name)
-
-    policies = data.get("policies")
-    if not isinstance(policies, list) or not policies:
-        check.fail("policies", "expected a non-empty list of policy names")
-        policies = ["lru"]
-    for index, policy in enumerate(policies):
-        if policy not in OBJECT_POLICY_REGISTRY:
-            check.fail(
-                f"policies[{index}]",
-                f"unknown object policy {policy!r} (known: "
-                f"{', '.join(sorted(OBJECT_POLICY_REGISTRY))})",
-            )
-    if len(set(policies)) != len(policies):
-        check.fail("policies", "duplicate policy names")
-
-    admission = _parse_admission(data, check)
-
-    seeds = data.get("seeds", [])
-    if not isinstance(seeds, list):
-        check.fail("seeds", f"expected a list of integers, got {seeds!r}")
-        seeds = []
-    for index, seed in enumerate(seeds):
-        if isinstance(seed, bool) or not isinstance(seed, int) \
-                or not 0 <= seed < 2**31:
-            check.fail(f"seeds[{index}]",
-                       f"expected an integer in [0, 2^31), got {seed!r}")
-    if len(seeds) > 16:
-        check.fail("seeds", f"{len(seeds)} seeds is above the 16-seed cap")
-
-    sanitize = data.get("sanitize", "normal")
-    if sanitize not in SANITIZE_MODES:
-        check.fail("sanitize", f"unknown mode {sanitize!r} "
-                               f"(known: {', '.join(SANITIZE_MODES)})")
-        sanitize = "normal"
-
-    golden = data.get("golden", False)
-    if not isinstance(golden, bool):
-        check.fail("golden", f"expected true/false, got {golden!r}")
-        golden = False
-
-    workload_names = [clause.name for clause in workloads]
-    raw_expect = data.get("expect", [])
-    if not isinstance(raw_expect, list):
-        check.fail("expect", f"expected a list, got {raw_expect!r}")
-        raw_expect = []
-    expect = tuple(
-        _parse_expectation(entry, f"expect[{index}]", policies,
-                           workload_names, check)
-        for index, entry in enumerate(raw_expect)
+    fields = _parse_common(
+        data, check,
+        extra_keys={"admission"},
+        parse_config=_parse_config,
+        parse_workloads=_parse_workloads,
+        known_policies=set(OBJECT_POLICY_REGISTRY),
+        policy_label="object policy",
+        parse_expectation=_parse_expectation,
     )
-
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        check.fail("params", f"expected a mapping of policy -> overrides, "
-                             f"got {params!r}")
-        params = {}
-    else:
-        for policy, overrides in params.items():
-            if policy not in policies:
-                check.fail(f"params.{policy}",
-                           "overrides name a policy that is not in this "
-                           "scenario's policies")
-            if not isinstance(overrides, dict):
-                check.fail(f"params.{policy}",
-                           f"expected a mapping, got {overrides!r}")
-
-    for key in ("title", "description", "figure"):
-        value = data.get(key, "")
-        if not isinstance(value, str):
-            check.fail(key, f"expected a string, got {value!r}")
+    admission = _parse_admission(data, check)
+    params = fields["params"]
+    for policy, overrides in params.items():
+        if policy not in fields["policies"]:
+            check.fail(f"params.{policy}",
+                       "overrides name a policy that is not in this "
+                       "scenario's policies")
+        if not isinstance(overrides, dict):
+            check.fail(f"params.{policy}",
+                       f"expected a mapping, got {overrides!r}")
 
     if check.problems:
         raise ScenarioError(check.problems, source=source)
-    return ObjectScenario(
-        name=name,
-        title=str(data.get("title", "")),
-        description=str(data.get("description", "")),
-        figure=str(data.get("figure", "")),
-        config=config,
-        workloads=tuple(workloads),
-        policies=tuple(policies),
-        admission=admission,
-        seeds=tuple(seeds),
-        sanitize=sanitize,
-        golden=golden,
-        expect=expect,
-        params={policy: dict(overrides)
-                for policy, overrides in params.items()
-                if isinstance(overrides, dict)},
-        source=source,
-    )
+    fields["params"] = {policy: dict(overrides)
+                        for policy, overrides in params.items()}
+    return ObjectScenario(admission=admission, source=source, **fields)

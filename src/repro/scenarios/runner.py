@@ -154,19 +154,54 @@ def conservation_problems(stats: dict) -> list:
 # -- running -------------------------------------------------------------------
 
 
-def _cell_payload(cell, seed: int, decisions_enabled: bool) -> dict:
+def _object_kind(scenario):
+    """:mod:`repro.scenarios.object_runner` for an ``object_cache`` scenario
+    (which supplies what that kind does differently), else None."""
+    if scenario.scenario_kind != "object_cache":
+        return None
+    from repro.scenarios import object_runner
+
+    return object_runner
+
+
+def _sweep_seed(scenario: Scenario, seed: int, jobs: int, cache_dir,
+                progress, decisions):
+    """One seed's CPU sweep: scenario traces through ``parallel_sweep``."""
+    from repro.eval import parallel
+
+    eval_config = scenario.eval_config(seed)
+    return parallel.parallel_sweep(
+        eval_config,
+        scenario_traces(scenario, eval_config, seed),
+        list(scenario.policies),
+        jobs=jobs,
+        num_cores=scenario.config.num_cores,
+        cache_dir=cache_dir,
+        sanitize=scenario.sanitize,
+        decisions=decisions,
+        progress=progress,
+    )
+
+
+def _cell_payload(scenario, cell, seed: int, decisions_enabled: bool) -> dict:
     result = cell.result
     payload = {
         "workload": cell.workload,
         "policy": cell.policy,
         "seed": seed,
         "status": cell.status,
-        "ipc": list(result.ipc),
-        "hit_rate": result.llc_hit_rate,
-        "demand_hit_rate": result.llc_demand_hit_rate,
-        "demand_mpki": result.demand_mpki,
-        "stats": {key: result.llc_stats[key] for key in CELL_STAT_KEYS},
     }
+    objects = _object_kind(scenario)
+    if objects is not None:
+        payload.update(objects.cell_fields(scenario, result))
+    else:
+        payload.update({
+            "ipc": list(result.ipc),
+            "hit_rate": result.llc_hit_rate,
+            "demand_hit_rate": result.llc_demand_hit_rate,
+            "demand_mpki": result.demand_mpki,
+            "stats": {key: result.llc_stats[key] for key in CELL_STAT_KEYS},
+        })
     if cell.violations:
         payload["violations"] = list(cell.violations)
     if decisions_enabled and cell.decisions:
@@ -180,49 +215,36 @@ def _cell_payload(cell, seed: int, decisions_enabled: bool) -> dict:
 
 
 def run_scenario(
-    scenario: Scenario,
+    scenario,
     jobs: int = 1,
     cache_dir=None,
     progress=None,
     decisions: int = None,
 ) -> dict:
-    """Run one scenario; return its canonical report payload.
+    """Run one scenario of either kind; return its canonical report payload.
 
     ``decisions`` forces a per-eviction decision-log sample rate; when the
     scenario carries ``regret`` expectations, decision tracing is enabled
     automatically (rate 1) so regret is measurable.  Failed cells raise —
     a scenario whose simulation crashes has no meaningful report.
 
-    Dispatches on the scenario kind, so callers can hand this any loaded
-    scenario: ``object_cache`` scenarios route to
-    :func:`repro.scenarios.object_runner.run_object_scenario`.
+    Each seed makes one sweep call: ``parallel_sweep`` for ``cpu_cache``
+    scenarios, ``object_sweep`` (via
+    :func:`repro.scenarios.object_runner.sweep_seed`) for ``object_cache``
+    ones.  ``cache_dir`` is the CPU pass-1 cache; object traces have no
+    pass 1.
     """
-    if getattr(scenario, "scenario_kind", "cpu_cache") == "object_cache":
-        from repro.scenarios.object_runner import run_object_scenario
-
-        return run_object_scenario(
-            scenario, jobs=jobs, cache_dir=cache_dir, progress=progress,
-            decisions=decisions,
-        )
-    from repro.eval.parallel import parallel_sweep
-
+    objects = _object_kind(scenario)
     if decisions is None and any(e.check == "regret" for e in scenario.expect):
         decisions = 1
     cells = []
     for seed in scenario.run_seeds:
-        eval_config = scenario.eval_config(seed)
-        traces = scenario_traces(scenario, eval_config, seed)
-        report = parallel_sweep(
-            eval_config,
-            traces,
-            list(scenario.policies),
-            jobs=jobs,
-            num_cores=scenario.config.num_cores,
-            cache_dir=cache_dir,
-            sanitize=scenario.sanitize,
-            decisions=decisions,
-            progress=progress,
-        )
+        if objects is not None:
+            report = objects.sweep_seed(scenario, seed, jobs, progress,
+                                        decisions)
+        else:
+            report = _sweep_seed(scenario, seed, jobs, cache_dir, progress,
+                                 decisions)
         failures = report.failures()
         if failures:
             first = failures[0]
@@ -233,12 +255,13 @@ def run_scenario(
             )
         for cell in sorted(report.cells,
                            key=lambda c: (c.workload, c.policy)):
-            cells.append(_cell_payload(cell, seed, decisions is not None))
+            cells.append(_cell_payload(scenario, cell, seed,
+                                       decisions is not None))
     payload = {
         "format": REPORT_FORMAT,
         "scenario": scenario.as_dict(),
         "cells": cells,
-        "conservation": _check_conservation(cells),
+        "conservation": _check_conservation(scenario, cells),
         "expectations": evaluate_expectations(scenario, cells),
     }
     payload["ok"] = (
@@ -248,10 +271,18 @@ def run_scenario(
     return payload
 
 
-def _check_conservation(cells) -> dict:
+def _cell_problems(scenario, cell) -> list:
+    """Violated conservation laws of one payload cell, for its kind."""
+    objects = _object_kind(scenario)
+    if objects is not None:
+        return objects.cell_conservation(scenario, cell["stats"])
+    return conservation_problems(cell["stats"])
+
+
+def _check_conservation(scenario, cells) -> dict:
     problems = []
     for cell in cells:
-        for problem in conservation_problems(cell["stats"]):
+        for problem in _cell_problems(scenario, cell):
             problems.append(
                 f"{cell['workload']}/{cell['policy']} (seed "
                 f"{cell['seed']}): {problem}"
@@ -271,18 +302,20 @@ def _matching(cells, expectation):
         yield cell
 
 
-def _check_hit_rate(cells, expectation) -> list:
+def _check_rate(cells, expectation, metric: str) -> list:
+    """Per-cell bounds on a rate (``hit_rate``, ``byte_hit_rate``, ...)."""
     failures = []
+    label = metric.replace("_", " ")
     for cell in _matching(cells, expectation):
-        rate = cell["hit_rate"]
+        rate = cell[metric]
         if expectation.min is not None and rate < expectation.min:
             failures.append(
-                f"{cell['workload']}/{cell['policy']}: hit rate {rate:.4f} "
+                f"{cell['workload']}/{cell['policy']}: {label} {rate:.4f} "
                 f"below min {expectation.min}"
             )
         if expectation.max is not None and rate > expectation.max:
             failures.append(
-                f"{cell['workload']}/{cell['policy']}: hit rate {rate:.4f} "
+                f"{cell['workload']}/{cell['policy']}: {label} {rate:.4f} "
                 f"above max {expectation.max}"
             )
     return failures
@@ -312,7 +345,42 @@ def _check_speedup(cells, expectation) -> list:
     return []
 
 
-def _check_regret(cells, expectation) -> list:
+def _check_beats(cells, expectation) -> list:
+    """``policy`` must strictly beat ``over`` on ``metric``, cell by cell.
+
+    The claim is evaluated per (workload, seed) pair — an aggregate win that
+    hides a per-workload loss fails — with an optional ``min`` margin
+    (absolute difference the winner must clear, default strictly greater).
+    """
+    baselines = {
+        (cell["workload"], cell["seed"]): cell[expectation.metric]
+        for cell in cells if cell["policy"] == expectation.over
+    }
+    margin = expectation.min or 0.0
+    failures = []
+    compared = 0
+    for cell in _matching(cells, expectation):
+        if cell["policy"] != expectation.policy:
+            continue
+        baseline = baselines.get((cell["workload"], cell["seed"]))
+        if baseline is None:
+            continue
+        compared += 1
+        value = cell[expectation.metric]
+        if not value > baseline + margin:
+            failures.append(
+                f"{cell['workload']} (seed {cell['seed']}): "
+                f"{expectation.policy} {expectation.metric} {value:.4f} does "
+                f"not beat {expectation.over} {baseline:.4f}"
+                + (f" by {margin}" if margin else "")
+            )
+    if not compared:
+        return [f"no cells compare {expectation.policy!r} against "
+                f"{expectation.over!r}"]
+    return failures
+
+
+def _check_regret(cells, expectation, oracle: str) -> list:
     failures = []
     seen = False
     for cell in _matching(cells, expectation):
@@ -323,7 +391,7 @@ def _check_regret(cells, expectation) -> list:
         value = regret["regret_x2"] / (2 * regret["graded"])
         if value > expectation.max:
             failures.append(
-                f"{cell['workload']}/{cell['policy']}: Belady regret "
+                f"{cell['workload']}/{cell['policy']}: {oracle} regret "
                 f"{value:.4f} above ceiling {expectation.max}"
             )
     if not seen:
@@ -349,22 +417,32 @@ def _check_belady_dominates(cells) -> list:
     return failures
 
 
-def evaluate_expectations(scenario: Scenario, cells) -> list:
-    """Check every declared expectation; returns one result row each."""
+def evaluate_expectations(scenario, cells) -> list:
+    """Check every declared expectation; returns one result row each.
+
+    Each kind's schema admits only its own checks, so one dispatch serves
+    both: ``hit_rate``/``speedup``/``belady_dominates`` are CPU checks,
+    ``byte_hit_rate``/``object_hit_rate``/``beats`` object ones.
+    """
+    oracle = ("size-aware Belady" if _object_kind(scenario) is not None
+              else "Belady")
     results = []
     for expectation in scenario.expect:
-        if expectation.check == "conservation":
+        check = expectation.check
+        if check == "conservation":
             failures = [
                 problem for cell in _matching(cells, expectation)
-                for problem in conservation_problems(cell["stats"])
+                for problem in _cell_problems(scenario, cell)
             ]
-        elif expectation.check == "hit_rate":
-            failures = _check_hit_rate(cells, expectation)
-        elif expectation.check == "speedup":
+        elif check in ("hit_rate", "byte_hit_rate", "object_hit_rate"):
+            failures = _check_rate(cells, expectation, check)
+        elif check == "speedup":
             failures = _check_speedup(cells, expectation)
-        elif expectation.check == "regret":
-            failures = _check_regret(cells, expectation)
-        else:  # belady_dominates (the schema admits nothing else)
+        elif check == "beats":
+            failures = _check_beats(cells, expectation)
+        elif check == "regret":
+            failures = _check_regret(cells, expectation, oracle)
+        else:  # belady_dominates (the schemas admit nothing else)
             failures = _check_belady_dominates(cells)
         results.append({
             "expect": expectation.as_dict(),

@@ -536,11 +536,144 @@ def _parse_expectation(data, path, policies, workload_names, check: _Check):
     )
 
 
-_TOP_LEVEL_KEYS = {
+#: Top-level keys every scenario kind shares (each kind adds its own).
+_COMMON_KEYS = {
     "format", "kind", "name", "title", "description", "figure", "config",
-    "suite", "workloads", "policies", "seeds", "mixes", "sanitize", "golden",
-    "expect", "params",
+    "workloads", "policies", "seeds", "sanitize", "golden", "expect",
+    "params",
 }
+
+
+def _parse_common(data, check: _Check, *, extra_keys, parse_config,
+                        parse_workloads, known_policies, policy_label,
+                        parse_expectation) -> dict:
+    """Validate the top level every scenario kind shares.
+
+    Each kind passes in what differs: its extra top-level keys, its config
+    parser (``parse_config(data, check)``), its workload-list parser
+    (``parse_workloads(data, check)``, which also reports an empty list),
+    its known policy names and the noun naming an unknown one, and its
+    expectation parser (``parse_expectation(entry, path, policies,
+    workload_names, check)``).  Problems land on ``check``; the returned
+    fields are the constructor arguments both scenario classes share.
+    """
+    unknown = set(data) - _COMMON_KEYS - set(extra_keys)
+    if unknown:
+        check.fail("top level", f"unknown key(s): {', '.join(sorted(unknown))}")
+    version = data.get("format", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        check.fail("format", f"unsupported scenario format {version!r} "
+                             f"(this build reads format {FORMAT_VERSION})")
+
+    name = data.get("name")
+    if not isinstance(name, str) or not _NAME_PATTERN.match(name or ""):
+        check.fail("name", f"{name!r} is not a valid scenario name "
+                           "(lowercase letters, digits, '.', '_', '-')")
+        name = "invalid"
+
+    config = parse_config(data, check)
+
+    workloads = parse_workloads(data, check)
+    seen = set()
+    for clause in workloads:
+        if clause.name in seen:
+            check.fail("workloads", f"duplicate workload name {clause.name!r}")
+        seen.add(clause.name)
+
+    policies = data.get("policies")
+    if not isinstance(policies, list) or not policies:
+        check.fail("policies", "expected a non-empty list of policy names")
+        policies = ["lru"]
+    for index, policy in enumerate(policies):
+        if policy not in known_policies:
+            check.fail(f"policies[{index}]",
+                       f"unknown {policy_label} {policy!r} (known: "
+                       f"{', '.join(sorted(known_policies))})")
+    if len(set(policies)) != len(policies):
+        check.fail("policies", "duplicate policy names")
+
+    seeds = data.get("seeds", [])
+    if not isinstance(seeds, list):
+        check.fail("seeds", f"expected a list of integers, got {seeds!r}")
+        seeds = []
+    for index, seed in enumerate(seeds):
+        if isinstance(seed, bool) or not isinstance(seed, int) \
+                or not 0 <= seed < 2**31:
+            check.fail(f"seeds[{index}]",
+                       f"expected an integer in [0, 2^31), got {seed!r}")
+    if len(seeds) > 16:
+        check.fail("seeds", f"{len(seeds)} seeds is above the 16-seed cap")
+
+    sanitize = data.get("sanitize", "normal")
+    if sanitize not in SANITIZE_MODES:
+        check.fail("sanitize", f"unknown mode {sanitize!r} "
+                               f"(known: {', '.join(SANITIZE_MODES)})")
+        sanitize = "normal"
+
+    golden = data.get("golden", False)
+    if not isinstance(golden, bool):
+        check.fail("golden", f"expected true/false, got {golden!r}")
+        golden = False
+
+    workload_names = [clause.name for clause in workloads]
+    raw_expect = data.get("expect", [])
+    if not isinstance(raw_expect, list):
+        check.fail("expect", f"expected a list, got {raw_expect!r}")
+        raw_expect = []
+    expect = tuple(
+        parse_expectation(entry, f"expect[{index}]", policies,
+                          workload_names, check)
+        for index, entry in enumerate(raw_expect)
+    )
+
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        check.fail("params", f"expected a mapping, got {params!r}")
+        params = {}
+
+    for key in ("title", "description", "figure"):
+        value = data.get(key, "")
+        if not isinstance(value, str):
+            check.fail(key, f"expected a string, got {value!r}")
+
+    return {
+        "name": name,
+        "title": str(data.get("title", "")),
+        "description": str(data.get("description", "")),
+        "figure": str(data.get("figure", "")),
+        "config": config,
+        "workloads": tuple(workloads),
+        "policies": tuple(policies),
+        "seeds": tuple(seeds),
+        "sanitize": sanitize,
+        "golden": golden,
+        "expect": expect,
+        "params": dict(params),
+    }
+
+
+def _parse_workloads(data, check: _Check) -> list:
+    """The CPU workload list: a ``suite`` expansion plus ``workloads``."""
+    workloads = []
+    raw_workloads = data.get("workloads", [])
+    if not isinstance(raw_workloads, list):
+        check.fail("workloads", f"expected a list, got {raw_workloads!r}")
+        raw_workloads = []
+    suite = data.get("suite")
+    if suite is not None:
+        from repro.eval.workloads import suite_names
+
+        try:
+            for member in suite_names(suite):
+                workloads.append(WorkloadClause(name=member, model=member))
+        except ValueError as error:
+            check.fail("suite", str(error))
+    for index, entry in enumerate(raw_workloads):
+        workloads.append(_parse_workload(entry, f"workloads[{index}]", check))
+    if not workloads:
+        check.fail("workloads", "scenario has no workloads (give 'workloads' "
+                                "and/or 'suite')")
+    return workloads
 
 
 def scenario_from_dict(data, source: str = None):
@@ -565,123 +698,21 @@ def scenario_from_dict(data, source: str = None):
         return object_scenario_from_dict(data, source=source)
     if kind != "cpu_cache":
         raise UnknownScenarioKindError(kind, source=source)
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        check.fail("top level", f"unknown key(s): {', '.join(sorted(unknown))}")
-    version = data.get("format", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        check.fail("format", f"unsupported scenario format {version!r} "
-                             f"(this build reads format {FORMAT_VERSION})")
-
-    name = data.get("name")
-    if not isinstance(name, str) or not _NAME_PATTERN.match(name or ""):
-        check.fail("name", f"{name!r} is not a valid scenario name "
-                           "(lowercase letters, digits, '.', '_', '-')")
-        name = "invalid"
-
-    config = _parse_config(data, check)
-
-    workloads = []
-    raw_workloads = data.get("workloads", [])
-    if not isinstance(raw_workloads, list):
-        check.fail("workloads", f"expected a list, got {raw_workloads!r}")
-        raw_workloads = []
-    suite = data.get("suite")
-    if suite is not None:
-        from repro.eval.workloads import suite_names
-
-        try:
-            for member in suite_names(suite):
-                workloads.append(WorkloadClause(name=member, model=member))
-        except ValueError as error:
-            check.fail("suite", str(error))
-    for index, entry in enumerate(raw_workloads):
-        workloads.append(_parse_workload(entry, f"workloads[{index}]", check))
-    if not workloads:
-        check.fail("workloads", "scenario has no workloads (give 'workloads' "
-                                "and/or 'suite')")
-    seen = set()
-    for clause in workloads:
-        if clause.name in seen:
-            check.fail("workloads", f"duplicate workload name {clause.name!r}")
-        seen.add(clause.name)
-
-    policies = data.get("policies")
-    if not isinstance(policies, list) or not policies:
-        check.fail("policies", "expected a non-empty list of policy names")
-        policies = ["lru"]
-    known = _known_policies()
-    for index, policy in enumerate(policies):
-        if policy not in known:
-            check.fail(f"policies[{index}]",
-                       f"unknown policy {policy!r} (known: "
-                       f"{', '.join(sorted(known))})")
-    if len(set(policies)) != len(policies):
-        check.fail("policies", "duplicate policy names")
-
-    seeds = data.get("seeds", [])
-    if not isinstance(seeds, list):
-        check.fail("seeds", f"expected a list of integers, got {seeds!r}")
-        seeds = []
-    for index, seed in enumerate(seeds):
-        if isinstance(seed, bool) or not isinstance(seed, int) \
-                or not 0 <= seed < 2**31:
-            check.fail(f"seeds[{index}]",
-                       f"expected an integer in [0, 2^31), got {seed!r}")
-    if len(seeds) > 16:
-        check.fail("seeds", f"{len(seeds)} seeds is above the 16-seed cap")
-
-    workload_names = [clause.name for clause in workloads]
+    fields = _parse_common(
+        data, check,
+        extra_keys={"suite", "mixes"},
+        parse_config=_parse_config,
+        parse_workloads=_parse_workloads,
+        known_policies=_known_policies(),
+        policy_label="policy",
+        parse_expectation=_parse_expectation,
+    )
+    config = fields["config"]
+    workload_names = [clause.name for clause in fields["workloads"]]
     mixes = _parse_mixes(data, config, workload_names, check)
     if mixes is None and config.num_cores > 1:
         check.fail("config.num_cores", "multicore scenarios need 'mixes'")
 
-    sanitize = data.get("sanitize", "normal")
-    if sanitize not in SANITIZE_MODES:
-        check.fail("sanitize", f"unknown mode {sanitize!r} "
-                               f"(known: {', '.join(SANITIZE_MODES)})")
-        sanitize = "normal"
-
-    golden = data.get("golden", False)
-    if not isinstance(golden, bool):
-        check.fail("golden", f"expected true/false, got {golden!r}")
-        golden = False
-
-    raw_expect = data.get("expect", [])
-    if not isinstance(raw_expect, list):
-        check.fail("expect", f"expected a list, got {raw_expect!r}")
-        raw_expect = []
-    expect = tuple(
-        _parse_expectation(entry, f"expect[{index}]", policies,
-                           workload_names, check)
-        for index, entry in enumerate(raw_expect)
-    )
-
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        check.fail("params", f"expected a mapping, got {params!r}")
-        params = {}
-
-    for key in ("title", "description", "figure"):
-        value = data.get(key, "")
-        if not isinstance(value, str):
-            check.fail(key, f"expected a string, got {value!r}")
-
     if check.problems:
         raise ScenarioError(check.problems, source=source)
-    return Scenario(
-        name=name,
-        title=str(data.get("title", "")),
-        description=str(data.get("description", "")),
-        figure=str(data.get("figure", "")),
-        config=config,
-        workloads=tuple(workloads),
-        policies=tuple(policies),
-        seeds=tuple(seeds),
-        mixes=mixes,
-        sanitize=sanitize,
-        golden=golden,
-        expect=expect,
-        params=dict(params),
-        source=source,
-    )
+    return Scenario(mixes=mixes, source=source, **fields)

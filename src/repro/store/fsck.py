@@ -10,8 +10,7 @@ artifact                  check
 ``journal.jsonl``         per-line CRC envelopes (:mod:`repro.runs.journal`)
 framed files              frame scan (:mod:`repro.store.frames`): magic,
 (checkpoints, snapshots,  per-frame CRC, family tag, truncation
-prep-cache entries,
-``decisions.bin``)
+prep-cache entries)
 JSONL logs                line-by-line parse + format-specific validation
 (``decisions.jsonl``,     (:func:`repro.telemetry.decisions.
 ``spans.jsonl``)          validate_decision_log` et al.)
@@ -538,33 +537,15 @@ def _check_file(path: Path, root: Path, report: FsckReport) -> str:
     if name.endswith(".jsonl"):
         validate = None
         if name.startswith("decisions"):
-            validate = _decision_log_validator(path)
+            from repro.telemetry.decisions import validate_decision_log
+
+            validate = validate_decision_log
         clean = _check_jsonl_log(
             path, root, report,
             family="decision-log" if name.startswith("decisions") else "spans",
             validate=validate,
         )
         return VERIFIED if clean else DAMAGED
-    if name == "decisions.bin":
-        # Legacy (unframed) binary decision log: full-format validation.
-        from repro.telemetry.decisions import validate_decision_log
-
-        problems = validate_decision_log(path)
-        if not problems:
-            report.checked += 1
-            return VERIFIED
-        finding = Finding(
-            _rel(path, root), "decision-log-binary", "bad_payload",
-            f"{len(problems)} problem(s); first: {problems[0]}",
-        )
-        if report.repair:
-            destination = quarantine_file(
-                path, root / QUARANTINE_DIR, reason="bad_payload"
-            )
-            finding.action = "quarantined"
-            finding.note = f"moved to {_rel(destination, root)}"
-        report.findings.append(finding)
-        return DAMAGED
     if path.suffix == ".json":
         if _is_golden_doc(path):
             clean = _check_golden(path, root, report)
@@ -591,19 +572,6 @@ def _check_file(path: Path, root: Path, report: FsckReport) -> str:
         return UNVERIFIED
     # Unrecognised file: nothing to verify beyond the manifest cross-check.
     return UNVERIFIED
-
-
-def _decision_log_validator(path: Path):
-    """The right whole-file validator for a decision-log JSONL file."""
-    from repro.telemetry.decisions import validate_decision_log
-    from repro.telemetry.object_decisions import (
-        sniff_object_decision_log,
-        validate_object_decision_log,
-    )
-
-    if sniff_object_decision_log(path):
-        return validate_object_decision_log
-    return validate_decision_log
 
 
 # -- directory-level passes ----------------------------------------------------

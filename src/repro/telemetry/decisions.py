@@ -30,16 +30,14 @@ sooner than the inserted line, 0 otherwise.  Regret is ``(1 - grade) / 2``
 (0 for optimal, 1/2 for neutral, 1 for harmful); to stay in integers the
 trace accumulates ``regret_x2 = neutral + 2 * harmful``.
 
-Log formats (both written to the run directory by ``--decisions``):
-
-* ``decisions.jsonl`` — the full payload: a file header line, then per
-  cell one ``{"type": "cell", ...}`` line (summary, epoch buckets, per-set
-  eviction counts, worst decisions) followed by its ``{"type": "event"}``
-  and ``{"type": "violation"}`` lines.
-* ``decisions.bin`` — compact binary: magic ``RDLG\\x01``, then per cell a
-  fixed header + name strings + fixed 55-byte event records
-  (:data:`RECORD_STRUCT`).  Carries the raw event stream only; the
-  derived aggregates live in the JSONL.
+Log format (``decisions.jsonl``, written to the run directory by
+``--decisions``): a file header line, then per cell one ``{"type": "cell",
+...}`` line (summary and the other aggregates, with the number of event and
+violation lines that follow), then its event lines.  One codec serves both
+cache kinds; the header's ``format`` names the kind — :data:`FORMAT_NAME`
+for CPU logs, :data:`OBJECT_FORMAT_NAME` for object-cache logs, whose cells
+(:class:`repro.telemetry.object_decisions.ObjectDecisionTrace`) carry
+``size_buckets`` and untyped event lines.
 
 This module deliberately imports neither :mod:`repro.rl` nor
 :mod:`repro.cache` (both sit *above* telemetry in the import graph); the
@@ -50,19 +48,19 @@ oracle is duck-typed (``advance`` / ``next_use`` / ``next_use_after``, see
 from __future__ import annotations
 
 import json
-import struct
 from collections import deque
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from repro.runs.atomic import atomic_write_bytes, atomic_write_text
+from repro.runs.atomic import atomic_write_text
 from repro.traces.record import AccessType
 
 #: Decision-log format version (bumped on any layout change).
 FORMAT_VERSION = 1
 
-#: Binary log magic: "Repro Decision LoG" + version byte.
-MAGIC = b"RDLG" + bytes([FORMAT_VERSION])
+#: Header format names: one per cache kind, one codec for both.
+FORMAT_NAME = "repro-decisions"
+OBJECT_FORMAT_NAME = "repro-object-decisions"
 
 #: Grade values (match repro.rl.reward's +1/0/-1 as integers).
 OPTIMAL, NEUTRAL, HARMFUL = 1, 0, -1
@@ -89,21 +87,13 @@ DEFAULT_WORST_N = 16
 #: the first violation, so this is a defensive bound, not a budget).
 MAX_VIOLATIONS = 256
 
-#: Fixed-size binary event record; see :class:`DecisionEvent` field order.
-RECORD_STRUCT = struct.Struct("<QIHBbQIIIBBQQB")
-
-#: Per-cell binary header: workload-name length, policy-name length,
-#: sample_rate, stream total, graded flag, reserved, record count.
-CELL_STRUCT = struct.Struct("<HHIQBBI")
-
 _NEVER = float("inf")
 
 
 class DecisionEvent(NamedTuple):
     """One logged eviction (or contract-violation) decision.
 
-    All fields are integers so JSON round-trips are exact and the binary
-    encoding is lossless.  ``grade`` is :data:`UNGRADED` when no oracle
+    All fields are integers so JSON round-trips are exact.  ``grade`` is :data:`UNGRADED` when no oracle
     was attached; access types are :class:`repro.traces.record.AccessType`
     values.
     """
@@ -478,26 +468,24 @@ def active_trace() -> Optional[DecisionTrace]:
 # -- log codec -----------------------------------------------------------------
 
 
-def _cell_events(cell: dict) -> list:
-    """Event + violation records of one payload cell, in stream order."""
-    events = [event_from_json(entry) for entry in cell.get("events", ())]
-    events.extend(
-        event_from_json(entry) for entry in cell.get("violations", ())
-    )
-    events.sort(key=lambda event: (event.index, event.kind))
-    return events
+def is_object_cell(cell: dict) -> bool:
+    """True for an object-cache cell (it carries a size-bucket profile)."""
+    return "size_buckets" in cell
 
 
 def write_decisions_jsonl(path, cells) -> Path:
-    """Atomically write the full JSONL decision log for ``cells``.
+    """Atomically write the JSONL decision log for ``cells``.
 
-    ``cells`` are :meth:`DecisionTrace.cell_payload` dicts, already in
-    deterministic ``(workload, policy)`` order.
+    ``cells`` are ``cell_payload()`` dicts of either cache kind, already in
+    deterministic report order; object-cache cells get the
+    :data:`OBJECT_FORMAT_NAME` header.
     """
+    kind = FORMAT_NAME
+    if any(is_object_cell(cell) for cell in cells):
+        kind = OBJECT_FORMAT_NAME
     lines = [
         json.dumps(
-            {"format": "repro-decisions", "version": FORMAT_VERSION,
-             "cells": len(cells)},
+            {"format": kind, "version": FORMAT_VERSION, "cells": len(cells)},
             sort_keys=True,
         )
     ]
@@ -506,7 +494,8 @@ def write_decisions_jsonl(path, cells) -> Path:
                   if key not in ("events", "violations")}
         header["type"] = "cell"
         header["events"] = len(cell.get("events", ()))
-        header["violations"] = len(cell.get("violations", ()))
+        if not is_object_cell(cell):
+            header["violations"] = len(cell.get("violations", ()))
         lines.append(json.dumps(header, sort_keys=True))
         for entry in cell.get("events", ()):
             lines.append(json.dumps(entry, sort_keys=True))
@@ -517,31 +506,6 @@ def write_decisions_jsonl(path, cells) -> Path:
     return path
 
 
-def write_decisions_binary(path, cells) -> Path:
-    """Atomically write the compact binary event log for ``cells``."""
-    chunks = [MAGIC]
-    for cell in cells:
-        workload = str(cell.get("workload", "")).encode("utf-8")
-        policy = str(cell.get("policy", "")).encode("utf-8")
-        events = _cell_events(cell)
-        chunks.append(CELL_STRUCT.pack(
-            len(workload),
-            len(policy),
-            int(cell.get("sample_rate", 1)),
-            int(cell.get("total", 0)),
-            1 if cell.get("graded_mode") else 0,
-            0,
-            len(events),
-        ))
-        chunks.append(workload)
-        chunks.append(policy)
-        for event in events:
-            chunks.append(RECORD_STRUCT.pack(*event))
-    path = Path(path)
-    atomic_write_bytes(path, b"".join(chunks))
-    return path
-
-
 def _count_salvaged(amount: int) -> None:
     """Bump the ``telemetry.salvaged`` counter (trace-quarantine idiom)."""
     from repro.telemetry import get_registry
@@ -549,14 +513,32 @@ def _count_salvaged(amount: int) -> None:
     get_registry().counter("telemetry.salvaged").inc(amount)
 
 
-def _read_jsonl(text: str, path=None, salvage: bool = False) -> list:
+def read_decision_log(path, salvage: bool = False) -> list:
+    """Load a decision log of either cache kind.
+
+    Returns a list of cell dicts shaped like the recorder's
+    ``cell_payload()``, events re-nested under each cell.
+
+    A damaged log (torn tail, truncation) raises a *located*
+    :class:`~repro.store.errors.ArtifactCorruptionError` naming the first
+    bad line — unless ``salvage=True``, which instead returns every
+    complete leading cell, drops the damaged tail, and counts the loss in
+    the ``telemetry.salvaged`` counter (the trace-quarantine idiom), so
+    readers degrade gracefully after a crash.
+    """
     from repro.store.errors import ArtifactCorruptionError
 
+    path = Path(path)
+    if not path.is_file():
+        raise ValueError(f"no decision log at {path}")
+    text = path.read_bytes().decode("utf-8", errors="replace")
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty decision log")
     header = json.loads(lines[0])
-    if header.get("format") != "repro-decisions":
+    if not isinstance(header, dict) or header.get("format") not in (
+        FORMAT_NAME, OBJECT_FORMAT_NAME,
+    ):
         raise ValueError("not a repro decision log (bad header line)")
     if header.get("version") != FORMAT_VERSION:
         raise ValueError(
@@ -579,11 +561,10 @@ def _read_jsonl(text: str, path=None, salvage: bool = False) -> list:
                 # was the start of the *next* record).
                 if current is not None:
                     received = (len(current["events"])
-                                + len(current["violations"]))
+                                + len(current.get("violations", ())))
                     if declared is None or received < declared:
                         cells.pop()
-                dropped = len(lines) - number + 1
-                _count_salvaged(dropped)
+                _count_salvaged(len(lines) - number + 1)
                 return cells
             raise ArtifactCorruptionError(
                 f"decision log is damaged: line {number} does not parse "
@@ -594,135 +575,77 @@ def _read_jsonl(text: str, path=None, salvage: bool = False) -> list:
             ) from error
         kind = entry.get("type")
         if kind == "cell":
-            declared = (
-                entry["events"] + entry["violations"]
-                if isinstance(entry.get("events"), int)
-                and isinstance(entry.get("violations"), int)
-                else None
-            )
-            current = dict(entry, events=[], violations=[])
-            del current["type"]
+            counts = (entry.get("events"), entry.get("violations", 0))
+            declared = (sum(counts) if all(isinstance(count, int)
+                                           for count in counts) else None)
+            current = {key: value for key, value in entry.items()
+                       if key != "type"}
+            current["events"] = []
+            if "violations" in entry:
+                current["violations"] = []
             cells.append(current)
-        elif kind in ("event", "violation"):
-            if current is None:
-                raise ValueError("decision event before any cell header")
-            current["events" if kind == "event" else "violations"].append(entry)
+        elif current is None:
+            raise ValueError("decision event before any cell header")
+        elif kind == "violation":
+            current.setdefault("violations", []).append(entry)
+        elif kind in ("event", None):  # object-cache events carry no type
+            current["events"].append(entry)
         else:
             raise ValueError(f"unknown decision-log line type {kind!r}")
-    return cells
-
-
-def _read_binary(data: bytes, path=None, salvage: bool = False) -> list:
-    from repro.store.errors import ArtifactCorruptionError
-
-    if not data.startswith(MAGIC[:4]):
-        raise ValueError("not a repro binary decision log (bad magic)")
-    if data[: len(MAGIC)] != MAGIC:
+    if header.get("cells") not in (None, len(cells)):
         raise ValueError(
-            f"binary decision-log version {data[4]} unsupported "
-            f"(expected {FORMAT_VERSION})"
+            f"decision log declares {header['cells']} cells, found "
+            f"{len(cells)}"
         )
-    offset = len(MAGIC)
-    cells = []
-
-    def damaged(kind: str, at: int):
-        if salvage:
-            # Salvage: the complete leading cells are already in ``cells``.
-            _count_salvaged(1)
-            return None
-        return ArtifactCorruptionError(
-            f"binary decision log is damaged: truncated cell {kind} at "
-            f"byte offset {at} (complete cells before it: {len(cells)})",
-            reason="truncated",
-            path=path,
-            offset=at,
-            frame=len(cells),
-        )
-
-    while offset < len(data):
-        if offset + CELL_STRUCT.size > len(data):
-            error = damaged("header", offset)
-            if error is None:
-                return cells
-            raise error
-        wlen, plen, sample_rate, total, graded, _reserved, count = (
-            CELL_STRUCT.unpack_from(data, offset)
-        )
-        offset += CELL_STRUCT.size
-        end_names = offset + wlen + plen
-        body_end = end_names + count * RECORD_STRUCT.size
-        if body_end > len(data):
-            error = damaged("body", offset)
-            if error is None:
-                return cells
-            raise error
-        workload = data[offset: offset + wlen].decode("utf-8")
-        policy = data[offset + wlen: end_names].decode("utf-8")
-        events, violations = [], []
-        for position in range(count):
-            record = RECORD_STRUCT.unpack_from(
-                data, end_names + position * RECORD_STRUCT.size
-            )
-            event = DecisionEvent(*record)
-            target = violations if event.kind == KIND_VIOLATION else events
-            target.append(event_to_json(event))
-        offset = body_end
-        cells.append({
-            "workload": workload,
-            "policy": policy,
-            "sample_rate": sample_rate,
-            "total": total,
-            "graded_mode": bool(graded),
-            "events": events,
-            "violations": violations,
-        })
     return cells
 
 
-def read_decision_log(path, salvage: bool = False) -> list:
-    """Load a decision log (JSONL or binary, sniffed by content).
-
-    Returns a list of cell dicts shaped like
-    :meth:`DecisionTrace.cell_payload`.  Binary logs carry the raw event
-    stream only: the derived aggregates (``summary``/``epochs``/``worst``/
-    ``set_evictions``) are present only for JSONL cells, and binary
-    violation records have no detail strings.
-
-    A damaged log (torn tail, truncation) raises a *located*
-    :class:`~repro.store.errors.ArtifactCorruptionError` naming the first
-    bad line/byte offset — unless ``salvage=True``, which instead returns
-    every complete leading cell, drops the damaged tail, and counts the
-    loss in the ``telemetry.salvaged`` counter (the trace-quarantine
-    idiom), so readers degrade gracefully after a crash.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise ValueError(f"no decision log at {path}")
-    data = path.read_bytes()
-    if data.startswith(MAGIC[:4]):
-        return _read_binary(data, path=path, salvage=salvage)
-    return _read_jsonl(
-        data.decode("utf-8", errors="replace"), path=path, salvage=salvage
-    )
+#: Grades an object-cache event may carry ("" = ungraded).
+_OBJECT_GRADES = ("", "optimal", "neutral", "harmful")
 
 
-_EVENT_INT_KEYS = ("index", "set", "pc", "address")
-_EVICT_INT_KEYS = (
-    "way", "victim_line", "victim_age_insert", "victim_age_last",
-    "victim_hits", "victim_recency",
-)
+def _event_problems(label: str, cell: dict, entry: dict) -> list:
+    """Problems with one event line of ``cell``, for the cell's kind."""
+    if is_object_cell(cell):
+        problems = []
+        if entry.get("grade", "") not in _OBJECT_GRADES:
+            problems.append(
+                f"{label}: event {entry.get('index')} has unknown grade "
+                f"{entry.get('grade')!r}"
+            )
+        if entry.get("size", 1) <= 0:
+            problems.append(
+                f"{label}: event {entry.get('index')} has non-positive size"
+            )
+        return problems
+    try:
+        event = event_from_json(entry)
+    except (KeyError, ValueError, TypeError) as error:
+        return [f"{label}: bad event {entry!r}: {error}"]
+    problems = []
+    if event.grade not in (OPTIMAL, NEUTRAL, HARMFUL, UNGRADED):
+        problems.append(
+            f"{label}: event at index {event.index} has invalid grade "
+            f"{event.grade}"
+        )
+    if cell.get("total") and event.index > int(cell["total"]):
+        problems.append(
+            f"{label}: event index {event.index} beyond stream total "
+            f"{cell['total']}"
+        )
+    return problems
 
 
 def validate_decision_log(path) -> list:
-    """Schema check; returns a list of problems (empty == valid)."""
+    """Schema check of a log of either kind; one line per problem."""
     from repro.store.errors import ArtifactCorruptionError
 
-    problems = []
     try:
         cells = read_decision_log(path)
-    except (ValueError, KeyError, json.JSONDecodeError, UnicodeDecodeError,
-            struct.error, ArtifactCorruptionError) as error:
+    except (ValueError, KeyError, UnicodeDecodeError,
+            ArtifactCorruptionError) as error:
         return [str(error)]
+    problems = []
     for position, cell in enumerate(cells):
         label = f"cell {position} ({cell.get('workload')}/{cell.get('policy')})"
         if not cell.get("workload"):
@@ -730,28 +653,23 @@ def validate_decision_log(path) -> list:
         if int(cell.get("sample_rate", 0)) < 1:
             problems.append(f"{label}: sample_rate must be >= 1")
         summary = cell.get("summary")
-        if summary is not None and summary.get("sampled") != len(
-            cell.get("events", ())
-        ):
+        if not isinstance(summary, dict):
+            problems.append(f"{label}: missing summary")
+            continue
+        events = cell.get("events", ())
+        if summary.get("sampled", 0) - summary.get("dropped", 0) != len(events):
             problems.append(
                 f"{label}: summary.sampled != number of event lines"
             )
-        for entry in list(cell.get("events", ())) + list(
-            cell.get("violations", ())
-        ):
-            try:
-                event = event_from_json(entry)
-            except (KeyError, ValueError, TypeError) as error:
-                problems.append(f"{label}: bad event {entry!r}: {error}")
-                continue
-            if event.grade not in (OPTIMAL, NEUTRAL, HARMFUL, UNGRADED):
-                problems.append(
-                    f"{label}: event at index {event.index} has invalid "
-                    f"grade {event.grade}"
-                )
-            if cell.get("total") and event.index > int(cell["total"]):
-                problems.append(
-                    f"{label}: event index {event.index} beyond stream "
-                    f"total {cell['total']}"
-                )
+        if summary.get("graded", 0) != (summary.get("optimal", 0)
+                                        + summary.get("neutral", 0)
+                                        + summary.get("harmful", 0)):
+            problems.append(f"{label}: graded != optimal + neutral + harmful")
+        if summary.get("regret_x2", 0) != (summary.get("neutral", 0)
+                                           + 2 * summary.get("harmful", 0)):
+            problems.append(f"{label}: regret_x2 != neutral + 2*harmful")
+        if summary.get("sampled", 0) > summary.get("evictions", 0):
+            problems.append(f"{label}: sampled exceeds evictions")
+        for entry in list(events) + list(cell.get("violations", ())):
+            problems.extend(_event_problems(label, cell, entry))
     return problems

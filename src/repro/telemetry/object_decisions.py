@@ -8,32 +8,23 @@ Belady oracle (:mod:`repro.objcache.oracle`).  Events carry the victim's
 size-vs-victim profiles — the object analogue of the Fig 5-7 victim
 recency/age profiles.
 
-Log format: JSONL with header line ``{"format": "repro-object-decisions",
-"version": 1}`` so `repro validate` / `repro inspect` can tell the two
-decision-log families apart by sniffing one line.
+Logs are written, read and validated by the one JSONL codec in
+:mod:`repro.telemetry.decisions`, under the ``repro-object-decisions``
+header.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from pathlib import Path
 
 from repro.objcache.core import MAX_SIZE_BUCKET, size_bucket
 from repro.objcache.oracle import (
-    GRADE_HARMFUL,
     GRADE_NEUTRAL,
     GRADE_OPTIMAL,
     grade_object_eviction,
 )
-from repro.runs.atomic import atomic_write_text
-
-FORMAT_NAME = "repro-object-decisions"
-FORMAT_VERSION = 1
 
 DEFAULT_RING_CAPACITY = 4096
-
-GRADES = (GRADE_OPTIMAL, GRADE_NEUTRAL, GRADE_HARMFUL)
 
 
 class ObjectDecisionTrace:
@@ -167,168 +158,6 @@ class ObjectDecisionTrace:
             },
             "events": list(self._ring),
         }
-
-
-# -- codec --------------------------------------------------------------------
-
-
-def write_object_decisions_jsonl(path, cells) -> Path:
-    """Atomically write the object decision log (cells in report order)."""
-    lines = [json.dumps(
-        {"format": FORMAT_NAME, "version": FORMAT_VERSION,
-         "cells": len(cells)},
-        sort_keys=True,
-    )]
-    for cell in cells:
-        header = {key: value for key, value in cell.items()
-                  if key != "events"}
-        header["type"] = "cell"
-        header["events"] = len(cell.get("events", ()))
-        lines.append(json.dumps(header, sort_keys=True))
-        for event in cell.get("events", ()):
-            lines.append(json.dumps(event, sort_keys=True))
-    path = Path(path)
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    return path
-
-
-def sniff_object_decision_log(path) -> bool:
-    """True when ``path`` starts with this module's JSONL header."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            first = handle.readline()
-        return json.loads(first).get("format") == FORMAT_NAME
-    except (OSError, UnicodeDecodeError, ValueError):
-        return False
-
-
-def read_object_decision_log(path, salvage: bool = False) -> list:
-    """Parse the log back into cell dicts (events re-nested).
-
-    A torn or bit-rotted line raises a *located*
-    :class:`~repro.store.errors.ArtifactCorruptionError` — unless
-    ``salvage=True``, which returns the complete leading cells, drops the
-    damaged tail, and counts the loss in ``telemetry.salvaged``.
-    """
-    from repro.store.errors import ArtifactCorruptionError
-
-    path = Path(path)
-    text = path.read_text(encoding="utf-8", errors="replace")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty object decision log")
-    header = json.loads(lines[0])
-    if header.get("format") != FORMAT_NAME:
-        raise ValueError("not a repro object decision log (bad header line)")
-    if header.get("version") != FORMAT_VERSION:
-        raise ValueError(
-            f"object decision-log version {header.get('version')!r} "
-            f"unsupported (expected {FORMAT_VERSION})"
-        )
-    cells = []
-    current = None
-    declared_events = None  #: event count the current cell header promised
-    salvaged_tail = False
-    for number, line in enumerate(lines[1:], start=2):
-        try:
-            entry = json.loads(line)
-            if not isinstance(entry, dict):
-                raise ValueError("line is not a JSON object")
-        except ValueError as error:
-            if salvage:
-                # Drop the current cell only when interrupted (declared
-                # events unmet); a complete final cell is kept.
-                if current is not None and (
-                    declared_events is None
-                    or len(current["events"]) < declared_events
-                ):
-                    cells.pop()
-                from repro.telemetry import get_registry
-
-                get_registry().counter("telemetry.salvaged").inc(
-                    len(lines) - number + 1
-                )
-                salvaged_tail = True
-                break
-            raise ArtifactCorruptionError(
-                f"object decision log is damaged: line {number} does not "
-                f"parse ({error})",
-                reason="truncated" if number == len(lines) else "bad_payload",
-                path=path,
-                frame=number,
-            ) from error
-        if entry.get("type") == "cell":
-            current = dict(entry)
-            current.pop("type")
-            declared_events = (
-                current["events"]
-                if isinstance(current.get("events"), int) else None
-            )
-            current["events"] = []
-            cells.append(current)
-        else:
-            if current is None:
-                raise ValueError(
-                    "object decision log has events before any cell header"
-                )
-            current["events"].append(entry)
-    declared = header.get("cells")
-    if declared is not None and declared != len(cells) and not salvaged_tail:
-        raise ValueError(
-            f"object decision log declares {declared} cells, found "
-            f"{len(cells)}"
-        )
-    return cells
-
-
-def validate_object_decision_log(path) -> list:
-    """One-line-per-problem validation (for ``repro validate``)."""
-    from repro.store.errors import ArtifactCorruptionError
-
-    problems = []
-    try:
-        cells = read_object_decision_log(path)
-    except (OSError, ValueError, ArtifactCorruptionError) as error:
-        return [str(error)]
-    for position, cell in enumerate(cells):
-        locator = (
-            f"cell {position} ({cell.get('workload')}/{cell.get('policy')})"
-        )
-        summary = cell.get("summary")
-        if not isinstance(summary, dict):
-            problems.append(f"{locator}: missing summary")
-            continue
-        declared = cell.get("events")
-        if isinstance(declared, int) and declared != len(
-            cell.get("events", ())
-        ):  # pragma: no cover - reader re-nests, kept for hand-edited logs
-            problems.append(f"{locator}: event count mismatch")
-        graded = (summary.get("optimal", 0) + summary.get("neutral", 0)
-                  + summary.get("harmful", 0))
-        if summary.get("graded", 0) != graded:
-            problems.append(
-                f"{locator}: graded != optimal + neutral + harmful"
-            )
-        if summary.get("regret_x2", 0) != (
-            summary.get("neutral", 0) + 2 * summary.get("harmful", 0)
-        ):
-            problems.append(
-                f"{locator}: regret_x2 != neutral + 2*harmful"
-            )
-        if summary.get("sampled", 0) > summary.get("evictions", 0):
-            problems.append(f"{locator}: sampled exceeds evictions")
-        for event in cell.get("events", ()):
-            if event.get("grade", "") not in ("",) + GRADES:
-                problems.append(
-                    f"{locator}: event {event.get('index')} has unknown "
-                    f"grade {event.get('grade')!r}"
-                )
-            if event.get("size", 1) <= 0:
-                problems.append(
-                    f"{locator}: event {event.get('index')} has "
-                    "non-positive size"
-                )
-    return problems
 
 
 def render_size_profile(cells) -> str:

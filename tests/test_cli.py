@@ -266,23 +266,20 @@ class TestDecisionsFlag:
         )
         return code, out, tmp_path / "runs" / "run-0001"
 
-    def test_sweep_decisions_writes_both_logs(self, capsys, tmp_path):
+    def test_sweep_decisions_writes_the_log(self, capsys, tmp_path):
         code, out, run_dir = self._sweep(capsys, tmp_path, "--decisions")
         assert code == 0
         assert "Belady regret per cell" in out
         assert (run_dir / "decisions.jsonl").is_file()
-        assert (run_dir / "decisions.bin").is_file()
         from repro.telemetry.decisions import validate_decision_log
 
         assert validate_decision_log(run_dir / "decisions.jsonl") == []
-        assert validate_decision_log(run_dir / "decisions.bin") == []
 
     def test_sweep_without_decisions_writes_no_logs(self, capsys, tmp_path):
         code, out, run_dir = self._sweep(capsys, tmp_path)
         assert code == 0
         assert "Belady regret" not in out
         assert not (run_dir / "decisions.jsonl").exists()
-        assert not (run_dir / "decisions.bin").exists()
 
     def test_sample_rate_round_trips_the_manifest(self, capsys, tmp_path):
         import json
@@ -311,7 +308,6 @@ class TestReplayCommand:
         assert "Belady regret:" in out
         run_dir = tmp_path / "runs" / "run-0001"
         assert (run_dir / "decisions.jsonl").is_file()
-        assert (run_dir / "decisions.bin").is_file()
         capsys.readouterr()
         code, out = run_cli(capsys, "inspect", str(run_dir))
         assert code == 0

@@ -32,7 +32,6 @@ from repro.telemetry.decisions import (
     event_to_json,
     read_decision_log,
     validate_decision_log,
-    write_decisions_binary,
     write_decisions_jsonl,
 )
 
@@ -179,24 +178,20 @@ class TestCodecs:
             assert restored["set_evictions"] == original["set_evictions"]
             assert restored["worst"] == original["worst"]
 
-    def test_binary_round_trip_preserves_events(self, prepared, tmp_path):
-        cells = self._payloads(prepared)
-        path = write_decisions_binary(tmp_path / "decisions.bin", cells)
-        loaded = read_decision_log(path)
-        for original, restored in zip(cells, loaded):
-            assert restored["workload"] == original["workload"]
-            assert restored["policy"] == original["policy"]
-            assert restored["events"] == original["events"]
-            # Event dicts survive the struct encoding losslessly.
-            for entry in restored["events"]:
-                assert event_to_json(event_from_json(entry)) == entry
-
     def test_validate_accepts_both_formats(self, prepared, tmp_path):
+        """One validator for both cache kinds' logs."""
+        from repro.objcache import generate_object_trace, replay_object_trace
+
         cells = self._payloads(prepared)
-        jsonl = write_decisions_jsonl(tmp_path / "decisions.jsonl", cells)
-        binary = write_decisions_binary(tmp_path / "decisions.bin", cells)
-        assert validate_decision_log(jsonl) == []
-        assert validate_decision_log(binary) == []
+        cpu = write_decisions_jsonl(tmp_path / "decisions.jsonl", cells)
+        trace = generate_object_trace(
+            name="wl", kind="zipf", objects=100, length=1500, seed=3
+        )
+        objects = write_decisions_jsonl(tmp_path / "objects.jsonl", [
+            replay_object_trace(trace, 200_000, "lru", decisions=1).decisions
+        ])
+        assert validate_decision_log(cpu) == []
+        assert validate_decision_log(objects) == []
 
     def test_validate_flags_corruption(self, prepared, tmp_path):
         cells = self._payloads(prepared)

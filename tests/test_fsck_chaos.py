@@ -41,10 +41,6 @@ from repro.store.errors import ArtifactCorruptionError
 from repro.store.fsck import fsck_path
 from repro.store.frames import write_artifact
 from repro.telemetry.decisions import read_decision_log, write_decisions_jsonl
-from repro.telemetry.object_decisions import (
-    read_object_decision_log,
-    write_object_decisions_jsonl,
-)
 from repro.testing.faults import FaultSpec, clear_faults, injected_faults
 
 FAULTS = ("torn_write", "bit_flip", "truncation")
@@ -251,19 +247,19 @@ class TestSalvage:
             {"workload": "w", "policy": "gdsf", "sample_rate": 1,
              "total": 4, "summary": {}, "size_buckets": {}, "events": []},
         ]
-        write_object_decisions_jsonl(path, cells)
+        write_decisions_jsonl(path, cells)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"type": "cell", "workload"')  # torn append
 
         with pytest.raises(ArtifactCorruptionError) as excinfo:
-            read_object_decision_log(path)
+            read_decision_log(path)
         assert excinfo.value.reason == "truncated"
         assert "line" in str(excinfo.value)
 
         registry = telemetry.MetricsRegistry()
         telemetry.configure(registry=registry)
         try:
-            salvaged = read_object_decision_log(path, salvage=True)
+            salvaged = read_decision_log(path, salvage=True)
         finally:
             telemetry.shutdown()
         assert [cell["policy"] for cell in salvaged] == ["gdsf"]

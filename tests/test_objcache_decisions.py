@@ -5,13 +5,17 @@ import json
 import pytest
 
 from repro.objcache import generate_object_trace, replay_object_trace
+from repro.telemetry.decisions import (
+    FORMAT_NAME,
+    OBJECT_FORMAT_NAME,
+    is_object_cell,
+    read_decision_log,
+    validate_decision_log,
+    write_decisions_jsonl,
+)
 from repro.telemetry.object_decisions import (
     ObjectDecisionTrace,
-    read_object_decision_log,
     render_size_profile,
-    sniff_object_decision_log,
-    validate_object_decision_log,
-    write_object_decisions_jsonl,
 )
 
 
@@ -62,8 +66,8 @@ class TestTraceObject:
 
 class TestCodec:
     def test_write_read_round_trip(self, tmp_path, cells):
-        path = write_object_decisions_jsonl(tmp_path / "d.jsonl", cells)
-        loaded = read_object_decision_log(path)
+        path = write_decisions_jsonl(tmp_path / "d.jsonl", cells)
+        loaded = read_decision_log(path)
         assert len(loaded) == len(cells)
         for original, read_back in zip(cells, loaded):
             assert read_back["workload"] == original["workload"]
@@ -71,36 +75,37 @@ class TestCodec:
             assert read_back["events"] == original["events"]
 
     def test_sniff_recognizes_only_object_logs(self, tmp_path, cells):
-        path = write_object_decisions_jsonl(tmp_path / "d.jsonl", cells)
-        assert sniff_object_decision_log(path) is True
-        other = tmp_path / "other.jsonl"
-        other.write_text(json.dumps({"format": "repro-decisions"}) + "\n")
-        assert sniff_object_decision_log(other) is False
-        assert sniff_object_decision_log(tmp_path / "missing") is False
+        path = write_decisions_jsonl(tmp_path / "d.jsonl", cells)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["format"] == OBJECT_FORMAT_NAME
+        assert all(is_object_cell(cell) for cell in read_decision_log(path))
+        other = write_decisions_jsonl(tmp_path / "other.jsonl", [])
+        assert json.loads(other.read_text())["format"] == FORMAT_NAME
+        assert read_decision_log(other) == []
 
     def test_cell_count_mismatch_is_rejected(self, tmp_path, cells):
-        path = write_object_decisions_jsonl(tmp_path / "d.jsonl", cells)
+        path = write_decisions_jsonl(tmp_path / "d.jsonl", cells)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         header["cells"] = 99
         lines[0] = json.dumps(header)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="declares 99 cells"):
-            read_object_decision_log(path)
+            read_decision_log(path)
 
 
 class TestValidation:
     def test_clean_log_validates(self, tmp_path, cells):
-        path = write_object_decisions_jsonl(tmp_path / "d.jsonl", cells)
-        assert validate_object_decision_log(path) == []
+        path = write_decisions_jsonl(tmp_path / "d.jsonl", cells)
+        assert validate_decision_log(path) == []
 
     def test_inconsistent_summary_is_flagged(self, tmp_path, cells):
         import copy
 
         broken = copy.deepcopy(cells)
         broken[0]["summary"]["graded"] += 1
-        path = write_object_decisions_jsonl(tmp_path / "d.jsonl", broken)
-        problems = validate_object_decision_log(path)
+        path = write_decisions_jsonl(tmp_path / "d.jsonl", broken)
+        problems = validate_decision_log(path)
         assert any("graded != optimal + neutral + harmful" in p
                    for p in problems)
 

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 
 from repro.objcache.workloads import WORKLOAD_KINDS  # noqa: E402
 from repro.scenarios.fuzz import (  # noqa: E402
-    check_object_scenario_contract,
+    check_scenario_contract,
     object_scenario_dicts,
     object_workload_dicts,
 )
@@ -47,7 +47,7 @@ class TestGeneratedObjectScenarios:
     @given(data=object_scenario_dicts())
     def test_contract_holds(self, data):
         """Conservation, zero guard violations, jobs-independence."""
-        report = check_object_scenario_contract(data, jobs=(1, 2))
+        report = check_scenario_contract(data, jobs=(1, 2))
         assert all(row["status"] == "pass"
                    for row in report["expectations"])
 
@@ -79,6 +79,6 @@ class TestGeneratedObjectScenarios:
         cache — the replay must count them rejected, never crash."""
         scenario = scenario_from_dict(data, source="<fuzz>")
         capacity = scenario.config.capacity_bytes
-        report = check_object_scenario_contract(data, jobs=(1,))
+        report = check_scenario_contract(data, jobs=(1,))
         for cell in report["cells"]:
             assert cell["stats"]["bytes_in_cache"] <= capacity

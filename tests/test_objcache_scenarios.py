@@ -7,7 +7,6 @@ from repro.scenarios import (
     ScenarioError,
     UnknownScenarioKindError,
     canonical_json,
-    run_object_scenario,
     run_scenario,
     scenario_from_dict,
 )
@@ -129,8 +128,8 @@ class TestRunner:
 
     def test_jobs_1_vs_4_byte_identical(self):
         scenario = scenario_from_dict(scenario_dict(seeds=[3, 9]))
-        serial = run_object_scenario(scenario, jobs=1)
-        parallel = run_object_scenario(scenario, jobs=4)
+        serial = run_scenario(scenario, jobs=1)
+        parallel = run_scenario(scenario, jobs=4)
         assert canonical_json(serial) == canonical_json(parallel)
 
     def test_failing_beats_expectation_reports_fail(self):
@@ -140,7 +139,7 @@ class TestRunner:
             {"check": "beats", "policy": "lru", "over": "gdsf",
              "metric": "byte_hit_rate"},
         ]))
-        payload = run_object_scenario(scenario)
+        payload = run_scenario(scenario)
         assert payload["ok"] is False
         row = payload["expectations"][0]
         assert row["status"] == "fail"
@@ -150,7 +149,7 @@ class TestRunner:
         scenario = scenario_from_dict(scenario_dict(expect=[
             {"check": "regret", "policy": "gdsf", "max": 1.0},
         ]))
-        payload = run_object_scenario(scenario)
+        payload = run_scenario(scenario)
         graded_cells = [c for c in payload["cells"] if "regret" in c]
         assert graded_cells
         assert payload["expectations"][0]["status"] == "pass"
@@ -158,7 +157,7 @@ class TestRunner:
     def test_progress_messages_are_strings(self):
         messages = []
         scenario = scenario_from_dict(scenario_dict())
-        run_object_scenario(scenario, progress=messages.append)
+        run_scenario(scenario, progress=messages.append)
         assert messages
         assert all(isinstance(m, str) and "object cells" in m
                    for m in messages)

@@ -117,10 +117,7 @@ class TestDecisionLogDeterminism:
         )
 
     def test_jobs_1_vs_jobs_4_byte_identical_logs(self, tmp_path):
-        from repro.telemetry.decisions import (
-            write_decisions_binary,
-            write_decisions_jsonl,
-        )
+        from repro.telemetry.decisions import write_decisions_jsonl
 
         serial = self._sweep(jobs=1, decisions=1)
         parallel = self._sweep(jobs=4, decisions=1)
@@ -130,17 +127,10 @@ class TestDecisionLogDeterminism:
             assert len(cells) == (
                 len(self.DECISION_WORKLOADS) * len(self.DECISION_POLICIES)
             )
-            jsonl = write_decisions_jsonl(
+            paths[label] = write_decisions_jsonl(
                 tmp_path / f"{label}.jsonl", cells
             )
-            binary = write_decisions_binary(tmp_path / f"{label}.bin", cells)
-            paths[label] = (jsonl, binary)
-        assert (
-            paths["serial"][0].read_bytes() == paths["parallel"][0].read_bytes()
-        )
-        assert (
-            paths["serial"][1].read_bytes() == paths["parallel"][1].read_bytes()
-        )
+        assert paths["serial"].read_bytes() == paths["parallel"].read_bytes()
 
     def test_decisions_do_not_change_the_report(self):
         """A traced sweep's report is byte-identical to an untraced one."""
