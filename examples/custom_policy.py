@@ -25,9 +25,10 @@ class ProtectDirtyPolicy(ReplacementPolicy):
     name = "protect_dirty"
 
     def victim(self, set_index, cache_set, access):
+        ranks = cache_set.recencies()  # 0 = LRU .. ways-1 = MRU
+
         def eviction_key(way):
-            line = cache_set.lines[way]
-            return (line.dirty, line.recency)  # clean first, then LRU
+            return (cache_set.lines[way].dirty, ranks[way])  # clean, then LRU
 
         return min(cache_set.valid_ways(), key=eviction_key)
 

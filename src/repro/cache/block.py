@@ -1,10 +1,14 @@
 """Cache line metadata.
 
-Each line carries every per-line feature from Table II of the paper (offset,
-dirty bit, preuse distance, ages, last access type, per-type access counts,
-hits since insertion, recency) so the RL agent can build its full state
-vector.  Hardware policies (RLR included) deliberately *do not* read the
-idealized counters here; they model their own quantized registers.
+Each line carries the per-line features from Table II of the paper (offset,
+dirty bit, preuse distance, last access type, per-type access counts, hits
+since insertion) so the RL agent can build its full state vector.  The two
+ages and the recency rank are not stored: the line keeps the set's access
+count at its fill and at its last access, and the owning
+:class:`~repro.cache.cache_set.CacheSet` derives ages and ranks from those
+stamps and its recency stack when they are read.  Hardware policies (RLR
+included) deliberately *do not* read the idealized counters here; they
+model their own quantized registers.
 """
 
 from __future__ import annotations
@@ -29,20 +33,18 @@ class CacheLine:
     last_access_type: AccessType = AccessType.LOAD
     insertion_type: AccessType = AccessType.LOAD
     preuse: int = 0  #: set accesses between the last two accesses to the line
-    age_since_insertion: int = 0  #: set accesses since the line was filled
-    age_since_last_access: int = 0  #: set accesses since the last access
     hits_since_insertion: int = 0
     access_counts: list = field(
         default_factory=lambda: [0, 0, 0, 0]
     )  #: per-type access counts since insertion, indexed by AccessType value
-    recency: int = 0  #: 0 = LRU .. (ways-1) = MRU
+    inserted_at: int = 0  #: the set's access count when the line was filled
+    last_access_at: int = 0  #: the set's access count at the last access
 
-    def fill(self, tag: int, line_address: int, access) -> None:
-        """Install a new line for ``access``, resetting all per-line counters.
+    def fill(self, tag: int, line_address: int, access, now: int) -> None:
+        """Install a new line for ``access`` at set access ``now``.
 
-        Recency is deliberately NOT touched here: the cache set promotes the
-        way (using the outgoing line's recency, so the per-set recency values
-        stay a permutation) before calling ``fill``.
+        Resets every per-line counter.  The recency stack is the set's
+        business (:meth:`repro.cache.cache_set.CacheSet.fill`).
         """
         self.valid = True
         self.tag = tag
@@ -55,32 +57,23 @@ class CacheLine:
         self.last_access_type = access.access_type
         self.insertion_type = access.access_type
         self.preuse = 0
-        self.age_since_insertion = 0
-        self.age_since_last_access = 0
         self.hits_since_insertion = 0
         self.access_counts = [0, 0, 0, 0]
         self.access_counts[access.access_type] = 1
+        self.inserted_at = now
+        self.last_access_at = now
 
-    def touch(self, access) -> None:
-        """Record a hit to this line: update preuse, ages, counts, and type.
+    def touch(self, access, now: int) -> None:
+        """Record a hit to this line at set access ``now``.
 
-        ``age_since_last_access`` must already include the current set access
-        (the set increments ages before dispatching the hit), so its value at
-        this point *is* the preuse distance.
+        ``now`` already counts the current access, so ``now`` minus the
+        previous access stamp *is* the preuse distance.
         """
-        self.preuse = self.age_since_last_access
-        self.age_since_last_access = 0
+        self.preuse = now - self.last_access_at
+        self.last_access_at = now
         self.hits_since_insertion += 1
         self.access_counts[access.access_type] += 1
         self.last_access_type = access.access_type
         self.last_pc = access.pc
         if access.is_write:
             self.dirty = True
-
-    def invalidate(self) -> None:
-        """Mark the line invalid (after eviction)."""
-        self.valid = False
-        self.tag = -1
-        self.line_address = -1
-        self.dirty = False
-        self.recency = 0

@@ -3,21 +3,22 @@
 The cache is purely functional (no timing); the hierarchy and timing model
 live in :mod:`repro.cache.hierarchy` and :mod:`repro.cpu`.  Observers can be
 attached to record the access stream (for Belady precomputation and the
-paper's Figure 4 analysis) and eviction events (Figures 5–7).
+paper's Figure 4 analysis) and replacement decisions (Figures 5–7, the
+decision tracer).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cache.cache_set import CacheSet
 from repro.cache.replacement.base import BYPASS
 from repro.cache.stats import CacheStats
 
 
-@dataclass
-class AccessResult:
-    """Outcome of one cache access."""
+class AccessResult(NamedTuple):
+    """Outcome of one cache access (immutable; hits and non-evicting
+    misses share one instance each)."""
 
     hit: bool
     bypassed: bool = False
@@ -30,6 +31,11 @@ class AccessResult:
         return self.evicted_line_address >= 0 and self.evicted_dirty
 
 
+HIT = AccessResult(hit=True)
+MISS = AccessResult(hit=False)
+BYPASSED = AccessResult(hit=False, bypassed=True)
+
+
 class Cache:
     """A single cache level.
 
@@ -38,9 +44,12 @@ class Cache:
         policy: A replacement policy instance; ``bind`` is called here.
         allow_bypass: Honour :data:`BYPASS` returned by the policy.  When
             False a bypass request falls back to LRU eviction.
-        detailed: Maintain the full Table II per-line metadata (ages, preuse,
-            per-type counts).  Needed at the LLC (RL features, analysis);
-            upper levels run with ``detailed=False`` for speed.
+        detailed: Maintain the full Table II per-line metadata (preuse,
+            per-type counts, PCs, types, offset, core).  Needed at the LLC
+            (RL features, analysis); upper levels and policies with
+            ``needs_line_metadata = False`` run with ``detailed=False``,
+            where a fill writes only the line's identity, dirty bit and
+            age stamps.  Ages and recency ranks are exact either way.
         sanitize: Contract-sanitizer mode for the policy ("off" / "normal" /
             "strict"; None = ``REPRO_SANITIZE`` or the package default).
             See :func:`repro.sanitize.wrap_policy`; wrapping is idempotent,
@@ -63,11 +72,13 @@ class Cache:
         self.policy = wrap_policy(policy, mode=sanitize, allow_bypass=allow_bypass)
         self.allow_bypass = allow_bypass
         self.detailed = detailed
-        self.sets = [CacheSet(i, config.ways) for i in range(config.num_sets)]
+        num_sets = config.num_sets
+        self._set_mask = num_sets - 1
+        self._tag_shift = (num_sets - 1).bit_length()
+        self.sets = [CacheSet(i, config.ways) for i in range(num_sets)]
         self.stats = CacheStats()
         self._seen_lines = set()
         self.access_observers = []
-        self.eviction_observers = []
         self.decision_observers = []
 
     # -- observers --------------------------------------------------------
@@ -76,18 +87,14 @@ class Cache:
         """``callback(access, hit)`` fires on every access to this cache."""
         self.access_observers.append(callback)
 
-    def add_eviction_observer(self, callback) -> None:
-        """``callback(set_index, line, access)`` fires before each eviction."""
-        self.eviction_observers.append(callback)
-
     def add_decision_observer(self, callback) -> None:
         """``callback(cache_set, way, victim_line, access)`` per eviction.
 
-        Fires with the full set state *before* the fill, so the observer
-        can see every resident line (the decision tracer grades the chosen
-        way against the alternatives).  When no observer is registered the
-        only cost is an empty-list ``for`` per eviction, identical to the
-        pre-existing ``eviction_observers`` loop.
+        Fires with the full set state *before* the eviction, so the
+        observer can read every resident line, its age and its recency
+        rank (the decision tracer grades the chosen way against the
+        alternatives).  When no observer is registered the only cost is an
+        empty-list ``for`` per eviction.
         """
         self.decision_observers.append(callback)
 
@@ -95,15 +102,14 @@ class Cache:
 
     def access(self, access) -> AccessResult:
         """Look up ``access``; on a miss, allocate (evicting if needed)."""
-        set_index = self.config.set_index(access.line_address)
-        tag = self.config.tag(access.line_address)
-        cache_set = self.sets[set_index]
-
-        cache_set.begin_access(ages=self.detailed)
-        way = cache_set.find(tag)
+        line_address = access.line_address
+        cache_set = self.sets[line_address & self._set_mask]
+        tag = line_address >> self._tag_shift
+        cache_set.accesses += 1
+        way = cache_set.stack.get(tag)
 
         if way is not None:
-            result = self._handle_hit(cache_set, way, access)
+            result = self._handle_hit(cache_set, tag, way, access)
         else:
             result = self._handle_miss(cache_set, tag, access)
 
@@ -111,66 +117,82 @@ class Cache:
             callback(access, result.hit)
         return result
 
-    def _handle_hit(self, cache_set, way: int, access) -> AccessResult:
-        cache_set.record_hit()
+    def _handle_hit(self, cache_set, tag: int, way: int, access) -> AccessResult:
+        cache_set.accesses_since_miss += 1
+        stack = cache_set.stack
+        del stack[tag]
+        stack[tag] = way
         line = cache_set.lines[way]
         if self.detailed:
-            line.touch(access)
-        elif access.is_write:
-            line.dirty = True
-        cache_set.promote(way)
-        self.stats.record_hit(access.access_type)
+            line.touch(access, cache_set.accesses)
+        else:
+            line.last_access_at = cache_set.accesses
+            if access.is_write:
+                line.dirty = True
+        self.stats.hits[access.access_type] += 1
         self.policy.on_hit(cache_set.index, way, line, access)
-        return AccessResult(hit=True)
+        return HIT
 
     def _handle_miss(self, cache_set, tag: int, access) -> AccessResult:
-        cache_set.record_miss()
-        compulsory = access.line_address not in self._seen_lines
-        self._seen_lines.add(access.line_address)
-        self.stats.record_miss(access.access_type, compulsory=compulsory)
-        self.policy.on_miss(cache_set.index, access)
+        cache_set.accesses_since_miss = 0
+        cache_set.misses += 1
+        stats = self.stats
+        stats.misses[access.access_type] += 1
+        line_address = access.line_address
+        if line_address not in self._seen_lines:
+            self._seen_lines.add(line_address)
+            stats.compulsory_misses += 1
+        policy = self.policy
+        set_index = cache_set.index
+        policy.on_miss(set_index, access)
 
-        way = cache_set.free_way()
-        evicted_address, evicted_dirty = -1, False
-        if way is None:
-            way = self.policy.victim(cache_set.index, cache_set, access)
+        stack = cache_set.stack
+        if len(stack) < cache_set.ways:
+            way = cache_set.free_way()
+            result = MISS
+        else:
+            way = policy.victim(set_index, cache_set, access)
             if way == BYPASS:
                 if self.allow_bypass:
-                    self.stats.bypasses += 1
-                    return AccessResult(hit=False, bypassed=True)
+                    stats.bypasses += 1
+                    return BYPASSED
                 way = cache_set.lru_way()
             victim_line = cache_set.lines[way]
-            for callback in self.eviction_observers:
-                callback(cache_set.index, victim_line, access)
             for callback in self.decision_observers:
                 callback(cache_set, way, victim_line, access)
-            self.policy.on_evict(cache_set.index, way, victim_line, access)
-            evicted_address = victim_line.line_address
-            evicted_dirty = victim_line.dirty
-            self.stats.evictions += 1
-            if evicted_dirty:
-                self.stats.dirty_evictions += 1
+            policy.on_evict(set_index, way, victim_line, access)
+            del stack[victim_line.tag]
+            stats.evictions += 1
+            if victim_line.dirty:
+                stats.dirty_evictions += 1
+            result = AccessResult(
+                False, False, victim_line.line_address, victim_line.dirty
+            )
 
         line = cache_set.lines[way]
-        # Promote BEFORE filling: promote shifts the other lines down based
-        # on the outgoing line's recency, keeping recencies a permutation.
-        cache_set.promote(way)
-        line.fill(tag, access.line_address, access)
-        line.recency = self.config.ways - 1
-        self.policy.on_fill(cache_set.index, way, line, access)
-        return AccessResult(
-            hit=False,
-            evicted_line_address=evicted_address,
-            evicted_dirty=evicted_dirty,
-        )
+        if self.detailed:
+            cache_set.fill(way, tag, line_address, access)
+        else:
+            line.valid = True
+            line.tag = tag
+            line.line_address = line_address
+            line.dirty = access.is_write
+            line.inserted_at = line.last_access_at = cache_set.accesses
+            stack[tag] = way
+        policy.on_fill(set_index, way, line, access)
+        return result
 
     # -- inspection helpers -------------------------------------------------
 
+    def _locate(self, line_address: int):
+        """(set, tag) of ``line_address``."""
+        return (self.sets[line_address & self._set_mask],
+                line_address >> self._tag_shift)
+
     def contains(self, line_address: int) -> bool:
         """True if ``line_address`` is currently cached (no state change)."""
-        set_index = self.config.set_index(line_address)
-        tag = self.config.tag(line_address)
-        return self.sets[set_index].find(tag) is not None
+        cache_set, tag = self._locate(line_address)
+        return tag in cache_set.stack
 
     def invalidate(self, line_address: int) -> bool:
         """Drop ``line_address`` if present; returns whether it was cached."""
@@ -183,21 +205,17 @@ class Cache:
         Used for back-invalidation in inclusive hierarchies, where a dirty
         upper-level copy must be written back on invalidation.
         """
-        set_index = self.config.set_index(line_address)
-        tag = self.config.tag(line_address)
-        way = self.sets[set_index].find(tag)
+        cache_set, tag = self._locate(line_address)
+        way = cache_set.find(tag)
         if way is None:
             return False, False
-        line = self.sets[set_index].lines[way]
-        was_dirty = line.dirty
-        line.invalidate()
+        was_dirty = cache_set.lines[way].dirty
+        cache_set.invalidate(way)
         return True, was_dirty
 
     def occupancy(self) -> float:
         """Fraction of lines currently valid."""
-        valid = sum(
-            1 for cache_set in self.sets for line in cache_set.lines if line.valid
-        )
+        valid = sum(len(cache_set.stack) for cache_set in self.sets)
         return valid / self.config.num_lines
 
     def reset_stats(self) -> None:

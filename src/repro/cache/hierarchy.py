@@ -40,7 +40,11 @@ class CacheHierarchy:
         self.config = config
         llc_policy.bind(config.llc)
         self.llc = Cache(
-            config.llc, llc_policy, allow_bypass=allow_bypass, sanitize=sanitize
+            config.llc,
+            llc_policy,
+            allow_bypass=allow_bypass,
+            detailed=getattr(llc_policy, "needs_line_metadata", True),
+            sanitize=sanitize,
         )
         self.l1d = []
         self.l2 = []

@@ -97,7 +97,7 @@ class CounterBasedPolicy(ReplacementPolicy):
         expired = [way for way in valid if self._expired(set_index, way)]
         candidates = expired or valid
         # LRU among the candidates.
-        return min(candidates, key=lambda way: cache_set.lines[way].recency)
+        return min(candidates, key=cache_set.recencies().__getitem__)
 
     @classmethod
     def overhead_bits(cls, config):

@@ -32,12 +32,7 @@ class MRUPolicy(ReplacementPolicy):
     name = "mru"
 
     def victim(self, set_index, cache_set, access):
-        best_way, best_recency = 0, -1
-        for way, line in enumerate(cache_set.lines):
-            if line.valid and line.recency > best_recency:
-                best_recency = line.recency
-                best_way = way
-        return best_way
+        return cache_set.mru_way()
 
     @classmethod
     def overhead_bits(cls, config):

@@ -71,7 +71,7 @@ class RWPPolicy(ReplacementPolicy):
             candidates = clean
         else:
             candidates = valid
-        return min(candidates, key=lambda way: cache_set.lines[way].recency)
+        return min(candidates, key=cache_set.recencies().__getitem__)
 
     @classmethod
     def overhead_bits(cls, config):

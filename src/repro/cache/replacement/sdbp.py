@@ -124,7 +124,7 @@ class SDBPPolicy(ReplacementPolicy):
         if not dead and self.enable_bypass and self.predictor.is_dead(access.pc):
             return BYPASS
         candidates = dead or valid
-        return min(candidates, key=lambda way: cache_set.lines[way].recency)
+        return min(candidates, key=cache_set.recencies().__getitem__)
 
     @classmethod
     def overhead_bits(cls, config):

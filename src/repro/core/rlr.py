@@ -194,6 +194,7 @@ class _RLRBase(ReplacementPolicy):
         prefetched = self._prefetched[set_index]
         rd = self.estimator.rd
         lines = cache_set.lines
+        ranks = cache_set.recencies() if self.true_recency else None
         weights = self.weights
         use_age, use_type, use_hit = weights.use_age, weights.use_type, weights.use_hit
         multicore = self.num_cores > 1
@@ -217,7 +218,7 @@ class _RLRBase(ReplacementPolicy):
             if multicore:
                 priority += self._core_priority[self._line_core[set_index][way]]
             if self.true_recency:
-                key = (priority, -line.recency)
+                key = (priority, -ranks[way])
             else:
                 key = (priority, age, way)
             if best_key is None or key < best_key:

@@ -259,9 +259,8 @@ def bench_serve(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
                          access_type=AccessType.LOAD, core=0)
     config = CacheConfig("llc", 64 * 1024, 16, 30)
     cache_set = CacheSet(0, 16)
-    for way, line in enumerate(cache_set.lines):
-        line.fill(0x10 + way, 0x4000 + way, record)
-        line.recency = way
+    for way in range(16):  # way 0 is the LRU line, way 15 the MRU
+        cache_set.fill(way, 0x10 + way, 0x4000 + way, record)
 
     rates, latency_us, phases = {}, {}, {}
     with start_in_thread(ServeConfig()) as handle:
@@ -384,6 +383,7 @@ def bench_overhead(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
     import timeit
 
     from repro import telemetry
+    from repro.cache.cache import Cache
     from repro.cache.replacement import make_policy
     from repro.eval.runner import prepare_workload, replay
     from repro.eval.workloads import EvalConfig
@@ -426,11 +426,12 @@ def bench_overhead(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
     }
 
     # Decision log disabled: the only residue is one empty-list loop per
-    # eviction.
+    # eviction; time that statement on an untraced cache's own list.
     evictions = result.llc_stats["evictions"]
-    empty = []
+    cache = Cache(prepared.llc_config, make_policy("lru"))
     loop_seconds = timeit.timeit(
-        lambda: [None for _ in empty], number=max(int(evictions), 1)
+        "for callback in cache.decision_observers: pass",
+        globals={"cache": cache}, number=max(int(evictions), 1),
     )
     ratio = loop_seconds / replay_seconds
     checks["decision_observer_loop"] = {

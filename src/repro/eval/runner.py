@@ -147,7 +147,7 @@ def replay(
 
     ``detailed`` forces Table II metadata maintenance on the replay cache
     (defaults to the policy's own ``needs_line_metadata``); ``observers`` are
-    attached as eviction observers (Figures 5-7 instrumentation).
+    attached as decision observers (Figures 5-7 instrumentation).
     ``sanitize`` selects the policy-contract sanitizer mode (see
     :mod:`repro.sanitize`); wrapping here, before ``bind``, lets the
     sanitizer observe the policy's full lifecycle.
@@ -201,7 +201,7 @@ def replay(
                 sanitize=sanitize,
             )
         for observer in observers or []:
-            cache.add_eviction_observer(observer)
+            cache.add_decision_observer(observer)
         if decisions is not None:
             cache.add_decision_observer(decisions.on_decision)
             cache.add_access_observer(decisions.on_access)

@@ -171,7 +171,8 @@ class FeatureExtractor:
                 norm("set_accesses_since_miss", float(cache_set.accesses_since_miss))
             )
         recency_scale = max(1, self.ways - 1)
-        for line in cache_set.lines:
+        ranks = cache_set.recencies()
+        for way, line in enumerate(cache_set.lines):
             valid = line.valid
             if "line_offset" in enabled:
                 values.extend(_binary(line.offset if valid else 0, 6))
@@ -181,13 +182,15 @@ class FeatureExtractor:
                 values.append(norm("line_preuse", float(line.preuse)) if valid else 0.0)
             if "line_age_insertion" in enabled:
                 values.append(
-                    norm("line_age_insertion", float(line.age_since_insertion))
+                    norm("line_age_insertion",
+                         float(cache_set.age_since_insertion(way)))
                     if valid
                     else 0.0
                 )
             if "line_age_last_access" in enabled:
                 values.append(
-                    norm("line_age_last_access", float(line.age_since_last_access))
+                    norm("line_age_last_access",
+                         float(cache_set.age_since_last_access(way)))
                     if valid
                     else 0.0
                 )
@@ -229,5 +232,5 @@ class FeatureExtractor:
                     else 0.0
                 )
             if "line_recency" in enabled:
-                values.append(line.recency / recency_scale if valid else 0.0)
+                values.append(ranks[way] / recency_scale if valid else 0.0)
         return np.asarray(values, dtype=np.float64)

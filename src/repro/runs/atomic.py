@@ -8,7 +8,11 @@ agents, framed :mod:`repro.store` artifacts — goes through
 :func:`os.replace`\\ d over the target.  A crash (including SIGKILL)
 at any point leaves either the complete old file or the complete new file,
 never a truncated hybrid; stray ``*.tmp`` files from an interrupted write
-are cleaned up on the next successful write of the same target.
+are cleaned up on the next successful write of the same target.  SIGINT
+and SIGTERM are deferred for the duration of a write
+(:func:`repro.runs.interrupts.interrupts_deferred`), so an interrupt is
+handled once the write has landed or removed its temporary, never between
+the temporary's creation and the cleanup that owns it.
 
 This is also the storage layer's fault-injection plane (site
 ``"atomic-write"``): :func:`repro.testing.faults.maybe_fault` can arm
@@ -35,6 +39,7 @@ import os
 import tempfile
 from pathlib import Path
 
+from repro.runs.interrupts import interrupts_deferred
 from repro.testing.faults import (
     BYTE_FAULT_ACTIONS,
     SimulatedCrash,
@@ -58,21 +63,22 @@ def atomic_write(path, writer, text: bool = False) -> None:
         if kind in BYTE_FAULT_ACTIONS:
             _faulted_write(path, writer, text, kind, value)
             return
-    fd, temporary = tempfile.mkstemp(
-        dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w" if text else "wb") as handle:
-            writer(handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, path)
-    except BaseException:
+    with interrupts_deferred():
+        fd, temporary = tempfile.mkstemp(
+            dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
+        )
         try:
-            os.unlink(temporary)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w" if text else "wb") as handle:
+                writer(handle)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temporary, path)
+        except BaseException:
+            try:
+                os.unlink(temporary)
+            except OSError:
+                pass
+            raise
     _sweep_stale_temporaries(path)
 
 

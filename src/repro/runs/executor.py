@@ -19,7 +19,13 @@ worker reuse for per-task process isolation:
   never retried;
 * the pool is a context manager whose exit terminates every live worker, so
   an exception (including ``KeyboardInterrupt``) in the parent leaves no
-  orphan processes.
+  orphan processes.  SIGINT and SIGTERM are deferred while a worker is
+  started or torn down (:func:`repro.runs.interrupts.interrupts_deferred`):
+  an interrupt handled between the fork and the bookkeeping would leave a
+  worker the exit cannot find, and one handled inside multiprocessing's
+  finalizer for a released worker is discarded by the interpreter
+  ("Exception ignored in: <Finalize object>"), so the parent would keep
+  waiting.
 
 Simulation tasks dominate process start-up cost by orders of magnitude, so
 the per-task fork is noise; in exchange every task is fully isolated.
@@ -29,12 +35,15 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+import signal
 import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_connections
 from typing import Optional
+
+from repro.runs.interrupts import interrupts_deferred
 
 
 class WorkerCrash(RuntimeError):
@@ -47,6 +56,10 @@ class WatchdogTimeout(RuntimeError):
 
 def _child_main(connection, fn, args, kwargs) -> None:
     """Worker entry point: run the task, ship the outcome, exit."""
+    # Forked inside interrupts_deferred (ProcessTaskPool._start): replace
+    # the inherited recording handlers with the defaults.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         result = fn(*args, **kwargs)
         payload = ("ok", result)
@@ -162,37 +175,47 @@ class ProcessTaskPool:
             args=(child_end, task.fn, task.args, task.kwargs),
             daemon=True,
         )
-        process.start()
-        child_end.close()
-        task.process = process
-        task.connection = parent_end
-        task.attempts += 1
-        task.deadline = (
-            None if self.timeout is None else time.monotonic() + self.timeout
-        )
-        self._running.append(task)
+        with interrupts_deferred():
+            process.start()
+            child_end.close()
+            task.process = process
+            task.connection = parent_end
+            task.attempts += 1
+            task.deadline = (
+                None if self.timeout is None
+                else time.monotonic() + self.timeout
+            )
+            self._running.append(task)
 
-    def _finish(self, task: _Task) -> None:
-        """Join a worker that reported (or died) and release its pipe."""
-        if task.process is not None:
-            task.process.join()
-        if task.connection is not None:
-            try:
-                task.connection.close()
-            except Exception:
-                pass
-        task.process = None
-        task.connection = None
+    def _finish(self, task: _Task):
+        """Join a worker that reported (or died) and release its pipe.
+
+        Returns the worker's exit code (None if it never started).  The
+        process object is released here, with signals deferred, so its
+        finalizer never runs an interrupt handler.
+        """
+        exit_code = None
+        with interrupts_deferred():
+            if task.process is not None:
+                task.process.join()
+                exit_code = task.process.exitcode
+            if task.connection is not None:
+                try:
+                    task.connection.close()
+                except Exception:
+                    pass
+            task.process = None
+            task.connection = None
+        return exit_code
 
     def _kill(self, task: _Task) -> None:
         """Forcibly reap a worker (watchdog expiry or pool shutdown)."""
-        process = task.process
-        if process is not None and process.is_alive():
-            process.terminate()
-            process.join(0.5)
-            if process.is_alive():
-                process.kill()
-                process.join()
+        # No local reference: _finish must release the last one.
+        if task.process is not None and task.process.is_alive():
+            task.process.terminate()
+            task.process.join(0.5)
+            if task.process.is_alive():
+                task.process.kill()
         self._finish(task)
 
     def _retry_or_fail(self, task: _Task, kind: str, error: str):
@@ -247,9 +270,7 @@ class ProcessTaskPool:
                     try:
                         kind, payload = task.connection.recv()
                     except (EOFError, OSError):
-                        process = task.process
-                        self._finish(task)  # joins, making exitcode valid
-                        exit_code = process.exitcode if process else None
+                        exit_code = self._finish(task)
                         self.stats.crashes += 1
                         outcome = self._retry_or_fail(
                             task,

@@ -34,7 +34,7 @@ The codecs below round-trip the simulator's value types
 :class:`~repro.cache.block.CacheLine`,
 :class:`~repro.cache.cache_set.CacheSet`) exactly: the server rebuilds a
 *real* ``CacheSet`` from the wire form, so server-side policies see the
-same object surface (``lru_way``, ``valid_ways``, ``lines[way].recency``,
+same object surface (``lru_way``, ``valid_ways``, ``recencies``, ages,
 ...) as in-process ones — that equivalence is what makes no-fault
 server-backed reports byte-identical to in-process reports.
 """
@@ -115,10 +115,16 @@ def access_from_wire(data: dict) -> TraceRecord:
         raise FrameError(f"invalid access payload {data!r}: {error}") from error
 
 
-def line_to_wire(line: CacheLine) -> dict:
-    """Every Table II field of one cache line (invalid lines stay small)."""
+def line_to_wire(line: CacheLine, recency: int = 0,
+                 ages: tuple = (0, 0)) -> dict:
+    """Every Table II field of one cache line (invalid lines stay small).
+
+    The recency rank and the two ages live on the set, so the caller
+    passes them; a hook frame's line travels without its set and carries
+    zeros.
+    """
     if not line.valid:
-        return {"v": 0, "r": line.recency}
+        return {"v": 0, "r": recency}
     return {
         "v": 1,
         "tag": line.tag,
@@ -131,18 +137,18 @@ def line_to_wire(line: CacheLine) -> dict:
         "lat": int(line.last_access_type),
         "int": int(line.insertion_type),
         "pre": line.preuse,
-        "ai": line.age_since_insertion,
-        "al": line.age_since_last_access,
+        "ai": ages[0],
+        "al": ages[1],
         "h": line.hits_since_insertion,
         "ac": list(line.access_counts),
-        "r": line.recency,
+        "r": recency,
     }
 
 
-def line_from_wire(data: dict) -> CacheLine:
+def line_from_wire(data: dict, accesses: int = 0) -> CacheLine:
+    """Rebuild a line; its age stamps are ``accesses`` minus the ages."""
     try:
         line = CacheLine()
-        line.recency = int(data.get("r", 0))
         if not data.get("v"):
             return line
         line.valid = True
@@ -156,8 +162,8 @@ def line_from_wire(data: dict) -> CacheLine:
         line.last_access_type = AccessType(int(data.get("lat", 0)))
         line.insertion_type = AccessType(int(data.get("int", 0)))
         line.preuse = int(data.get("pre", 0))
-        line.age_since_insertion = int(data.get("ai", 0))
-        line.age_since_last_access = int(data.get("al", 0))
+        line.inserted_at = accesses - int(data.get("ai", 0))
+        line.last_access_at = accesses - int(data.get("al", 0))
         line.hits_since_insertion = int(data.get("h", 0))
         line.access_counts = [int(count) for count in data.get("ac", [0] * 4)]
         return line
@@ -173,7 +179,12 @@ def set_to_wire(cache_set) -> dict:
         "acc": cache_set.accesses,
         "asm": cache_set.accesses_since_miss,
         "m": cache_set.misses,
-        "lines": [line_to_wire(line) for line in cache_set.lines],
+        "lines": [
+            line_to_wire(line, rank, (cache_set.age_since_insertion(way),
+                                      cache_set.age_since_last_access(way)))
+            for way, (line, rank) in enumerate(
+                zip(cache_set.lines, cache_set.recencies()))
+        ],
     }
 
 
@@ -182,6 +193,8 @@ def set_from_wire(data: dict) -> CacheSet:
 
     Using the genuine class (not a shim) guarantees ``lru_way()`` /
     ``valid_ways()`` / ``find()`` semantics are identical on both ends.
+    The recency stack is rebuilt from the lines' ``r`` ranks, LRU first
+    (ties keep way order).
     """
     try:
         ways = int(data["w"])
@@ -195,7 +208,13 @@ def set_from_wire(data: dict) -> CacheSet:
         cache_set.accesses = int(data.get("acc", 0))
         cache_set.accesses_since_miss = int(data.get("asm", 0))
         cache_set.misses = int(data.get("m", 0))
-        cache_set.lines = [line_from_wire(line) for line in lines]
+        cache_set.lines = [line_from_wire(line, cache_set.accesses)
+                           for line in lines]
+        ranked = sorted(
+            (int(line.get("r", 0)), way)
+            for way, line in enumerate(lines) if line.get("v")
+        )
+        cache_set.stack = {cache_set.lines[way].tag: way for _, way in ranked}
         return cache_set
     except FrameError:
         raise

@@ -13,7 +13,7 @@ Design rules (mirroring :func:`repro.telemetry.profiling.profiled`):
 * **Identity when disabled.**  A replay without a :class:`DecisionTrace`
   executes the exact hot-loop code it always did; the only residue is the
   cache's empty ``decision_observers`` list (one no-op ``for`` per
-  eviction, same as the pre-existing ``eviction_observers``).
+  eviction).
 * **Deterministic.**  Events are a pure function of the (deterministic)
   replay; sampling is counter-based (every ``sample_rate``-th eviction),
   never randomized; every recorded quantity is an integer.  Logs written
@@ -289,11 +289,13 @@ class DecisionTrace:
             kind=KIND_EVICT,
             grade=grade,
             victim_line=line.line_address,
-            victim_age_insert=_clamp(line.age_since_insertion, 0xFFFFFFFF),
-            victim_age_last=_clamp(line.age_since_last_access, 0xFFFFFFFF),
+            victim_age_insert=_clamp(cache_set.age_since_insertion(way),
+                                     0xFFFFFFFF),
+            victim_age_last=_clamp(cache_set.age_since_last_access(way),
+                                   0xFFFFFFFF),
             victim_hits=_clamp(line.hits_since_insertion, 0xFFFFFFFF),
             victim_last_type=int(line.last_access_type),
-            victim_recency=_clamp(line.recency, 0xFF),
+            victim_recency=_clamp(cache_set.recency(way), 0xFF),
             pc=access.pc,
             address=access.address,
             access_type=int(access.access_type),

@@ -17,7 +17,7 @@ phase                  meaning
 ``policy_update``      the ``on_hit``/``on_miss``/``on_evict``/``on_fill``
                        (``on_admit`` for objcache) policy hooks
 ``admission``          admission ``record`` + ``admit`` (objcache only)
-``telemetry``          registered access/eviction/decision observers
+``telemetry``          registered access/decision observers
 ``transport``          everything outside ``policy.victim`` on the serve
                        round-trip (framing, socket, micro-batch queueing)
 =====================  =======================================================
@@ -268,9 +268,6 @@ def make_profiled_cache(config, policy, profile, **kwargs):
 
         def add_access_observer(self, callback):
             super().add_access_observer(_timed_observer(callback, profile))
-
-        def add_eviction_observer(self, callback):
-            super().add_eviction_observer(_timed_observer(callback, profile))
 
         def add_decision_observer(self, callback):
             super().add_decision_observer(_timed_observer(callback, profile))

@@ -124,12 +124,13 @@ class TestObservers:
     def test_eviction_observer_sees_victim(self, tiny_config, make_cache):
         cache = make_cache(tiny_config, "lru")
         victims = []
-        cache.add_eviction_observer(
-            lambda set_index, line, access: victims.append(line.line_address)
+        cache.add_decision_observer(
+            lambda cache_set, way, line, access: victims.append(
+                (line.line_address, cache_set.recency(way)))
         )
         for line in (0, 4, 8, 12, 16):
             cache.access(load(line))
-        assert victims == [0]
+        assert victims == [(0, 0)]  # seen before the eviction, at LRU rank
 
 
 class TestHelpers:
@@ -147,6 +148,23 @@ class TestHelpers:
         assert cache.invalidate(0)
         assert not cache.contains(0)
         assert not cache.invalidate(0)
+
+    def test_lru_evicts_least_recent_line_after_an_invalidation(self):
+        # One 4-way set: fill 10-13, hit 10, 12, 13, drop 12, fill 14.
+        # Line 11 is now the least recently used; strict LRU evicts it
+        # on the next miss (an invalidated line must not leave a second
+        # line at rank 0 for a tie-break by way index to pick).
+        config = CacheConfig("one", 4 * 64, 4, latency=1)
+        policy = make_policy("lru")
+        policy.bind(config)
+        cache = Cache(config, policy)
+        for line in (10, 11, 12, 13, 10, 12, 13):
+            cache.access(load(line))
+        assert cache.invalidate(12)
+        assert not cache.access(load(14)).hit
+        result = cache.access(load(15))
+        assert result.evicted_line_address == 11
+        assert cache.contains(10)
 
     def test_occupancy(self, tiny_config, make_cache):
         cache = make_cache(tiny_config)
@@ -169,7 +187,11 @@ class TestDetailedFlag:
         cache.access(load(0))
         cache.access(load(0))
         cache.access(rfo(0))
-        line = cache.sets[0].lines[cache.sets[0].find(tiny_config.tag(0))]
+        cache_set = cache.sets[0]
+        way = cache_set.find(tiny_config.tag(0))
+        line = cache_set.lines[way]
         assert line.dirty
         assert line.hits_since_insertion == 0  # metadata not maintained
-        assert line.age_since_insertion == 0
+        # Ages come from stamps, so they are exact on every cache.
+        assert cache_set.age_since_insertion(way) == 2
+        assert cache_set.age_since_last_access(way) == 0

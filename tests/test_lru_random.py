@@ -79,5 +79,7 @@ class TestRandom:
             cache.access(load(rng.randrange(40)))
         # No exception and all sets remain consistent.
         for cache_set in cache.sets:
-            recencies = [l.recency for l in cache_set.lines if l.valid]
+            recencies = [rank for l, rank in zip(cache_set.lines,
+                                                 cache_set.recencies())
+                         if l.valid]
             assert len(set(recencies)) == len(recencies)

@@ -50,7 +50,9 @@ class TestCacheInvariants:
         for record in _records(accesses):
             cache.access(record)
             for cache_set in cache.sets:
-                recencies = [l.recency for l in cache_set.lines if l.valid]
+                recencies = [rank for l, rank in zip(cache_set.lines,
+                                                     cache_set.recencies())
+                             if l.valid]
                 assert len(set(recencies)) == len(recencies)
                 assert all(0 <= r < config.ways for r in recencies)
                 if len(recencies) == config.ways:

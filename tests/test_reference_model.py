@@ -1,0 +1,120 @@
+"""``Cache`` against the naive reference model in ``tests/reference_cache.py``.
+
+Both are driven by the same hypothesis streams. Under LRU the reference
+picks its own victims. Under every other policy it is handed the way
+``Cache``'s policy chose, so the substrate (lookup, fills, recency, ages,
+Table II metadata, statistics) is checked under any eviction order.
+"""
+
+from __future__ import annotations
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.cache import Cache, CacheConfig
+from repro.cache.replacement import POLICY_REGISTRY, make_policy
+from repro.cache.replacement.belady import BeladyPolicy
+from repro.traces.record import AccessType, TraceRecord
+
+from tests.reference_cache import ReferenceCache
+
+POLICIES = sorted(POLICY_REGISTRY)
+
+#: Fields compared on every valid line of a detailed cache.
+TABLE_II = ("dirty", "offset", "core", "insertion_pc", "last_pc",
+            "last_access_type", "insertion_type", "preuse",
+            "hits_since_insertion", "access_counts")
+
+_operation = st.tuples(
+    st.integers(min_value=0, max_value=15),  # 0: invalidate, else access
+    st.integers(min_value=0, max_value=23),  # line address
+    st.sampled_from(list(AccessType)),
+    st.integers(min_value=0, max_value=3),  # pc slot
+    st.integers(min_value=0, max_value=63),  # offset within the line
+)
+_geometry = st.tuples(st.sampled_from([1, 2, 4]),
+                      st.integers(min_value=2, max_value=8))
+
+
+def _record(line, kind, pc, offset):
+    return TraceRecord(address=line * 64 + offset, pc=pc * 4,
+                       access_type=kind, core=pc % 2)
+
+
+def _build(policy_name, records, sets, ways, detailed):
+    config = CacheConfig("ref", sets * ways * 64, ways, latency=1)
+    if policy_name == "belady":
+        policy = BeladyPolicy([record.line_address for record in records])
+    else:
+        policy = make_policy(policy_name)
+    policy.bind(config)
+    return Cache(config, policy, detailed=detailed, sanitize="normal")
+
+
+def _assert_same_state(cache, reference, detailed):
+    for cache_set in cache.sets:
+        stack = reference.sets[cache_set.index]
+        valid = [way for way, line in enumerate(cache_set.lines) if line.valid]
+        assert sorted(valid) == sorted(line.way for line in stack)
+        ranks = cache_set.recencies()
+        for ref_line in stack:
+            way = ref_line.way
+            line = cache_set.lines[way]
+            assert line.line_address == ref_line.line_address
+            assert line.dirty == ref_line.dirty
+            assert ranks[way] == reference.recency(ref_line.line_address)
+            if not detailed:
+                continue
+            for field in TABLE_II:
+                assert getattr(line, field) == getattr(ref_line, field), field
+            assert (cache_set.age_since_insertion(way)
+                    == ref_line.age_since_insertion)
+            assert (cache_set.age_since_last_access(way)
+                    == ref_line.age_since_last_access)
+
+
+def _run(policy_name, operations, geometry, detailed):
+    sets, ways = geometry
+    records = [_record(*op[1:]) for op in operations if op[0]]
+    cache = _build(policy_name, records, sets, ways, detailed)
+    reference = ReferenceCache(sets, ways)
+    chosen = []
+    cache.add_decision_observer(
+        lambda cache_set, way, line, access: chosen.append(way))
+    for roll, line, kind, pc, offset in operations:
+        if not roll:
+            assert cache.invalidate_line(line) == reference.invalidate(line)
+            continue
+        record = _record(line, kind, pc, offset)
+        chosen.clear()
+        result = cache.access(record)
+        victim_way = chosen[0] if chosen and policy_name != "lru" else None
+        hit, evicted, dirty = reference.access(record, victim_way)
+        assert result.hit == hit
+        assert result.evicted_line_address == evicted
+        assert result.evicted_dirty == dirty
+        _assert_same_state(cache, reference, detailed)
+    assert cache.stats.summary() == reference.summary()
+    assert cache.stats.compulsory_misses == reference.compulsory_misses
+
+
+_SETTINGS = settings(max_examples=30, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.mark.parametrize("policy_name", POLICIES)
+@_SETTINGS
+@given(operations=st.lists(_operation.filter(lambda op: op[0]), max_size=120),
+       geometry=_geometry, detailed=st.booleans())
+def test_matches_reference(policy_name, operations, geometry, detailed):
+    _run(policy_name, operations, geometry, detailed)
+
+
+@pytest.mark.parametrize("policy_name", POLICIES)
+@_SETTINGS
+@given(operations=st.lists(_operation, max_size=120),
+       geometry=_geometry, detailed=st.booleans())
+def test_matches_reference_with_invalidations(policy_name, operations,
+                                              geometry, detailed):
+    _run(policy_name, operations, geometry, detailed)

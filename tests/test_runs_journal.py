@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import tempfile
 
 import pytest
 
@@ -45,6 +48,35 @@ class TestAtomicWrite:
         path = tmp_path / "a" / "b" / "out.txt"
         atomic_write_text(path, "deep")
         assert path.read_text() == "deep"
+
+    def test_interrupt_as_the_temporary_is_created_leaves_no_debris(
+        self, tmp_path, monkeypatch
+    ):
+        # SIGINT arrives the moment the temporary exists, before the write
+        # has a name to clean up (an interrupted sweep left such debris).
+        # It is handled once the write has landed.
+        class Interrupted(Exception):
+            pass
+
+        def raise_interrupted(signum, frame):
+            raise Interrupted
+
+        create = tempfile.mkstemp
+
+        def create_then_interrupt(*args, **kwargs):
+            created = create(*args, **kwargs)
+            os.kill(os.getpid(), signal.SIGINT)
+            return created
+
+        monkeypatch.setattr(tempfile, "mkstemp", create_then_interrupt)
+        previous = signal.signal(signal.SIGINT, raise_interrupted)
+        try:
+            with pytest.raises(Interrupted):
+                atomic_write_text(tmp_path / "out.txt", "landed")
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert [entry.name for entry in tmp_path.iterdir()] == ["out.txt"]
+        assert (tmp_path / "out.txt").read_text() == "landed"
 
 
 class TestRunJournal:

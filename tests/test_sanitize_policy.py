@@ -214,8 +214,8 @@ _GEOMETRIES = st.sampled_from([(2, 2), (4, 4), (2, 8), (8, 2)])
 
 def _set_state(cache_set):
     return [
-        (line.valid, line.tag, line.line_address, line.dirty, line.recency)
-        for line in cache_set.lines
+        (line.valid, line.tag, line.line_address, line.dirty, rank)
+        for line, rank in zip(cache_set.lines, cache_set.recencies())
     ]
 
 

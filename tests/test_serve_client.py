@@ -26,9 +26,8 @@ def _record() -> TraceRecord:
 
 def _full_set(ways: int = 4) -> CacheSet:
     cache_set = CacheSet(0, ways)
-    for way, line in enumerate(cache_set.lines):
-        line.fill(0x10 + way, 0x4000 + way, _record())
-        line.recency = way
+    for way in range(ways):  # way 0 is the LRU line
+        cache_set.fill(way, 0x10 + way, 0x4000 + way, _record())
     return cache_set
 
 
@@ -160,7 +159,7 @@ class TestDeadServerFallback:
         policy._tenant = "t-dead"
         policy.on_miss(0, _record())
         line = CacheLine()
-        line.fill(0x1, 0x4000, _record())
+        line.fill(0x1, 0x4000, _record(), now=0)
         policy.on_hit(0, 0, line, _record())
         policy.on_evict(0, 0, line, _record())
         policy.on_fill(0, 0, line, _record())

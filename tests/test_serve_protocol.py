@@ -41,11 +41,9 @@ def _populated_set(ways: int = 4) -> CacheSet:
     cache_set = CacheSet(3, ways)
     record = _record()
     for way in range(ways - 1):  # one way left invalid on purpose
-        line = cache_set.lines[way]
-        line.fill(0x100 + way, 0x4000 + way, record)
-        line.touch(_record(pc=0x99))
-        line.recency = way
-    cache_set.lines[ways - 1].recency = ways - 1
+        cache_set.accesses += 2
+        cache_set.fill(way, 0x100 + way, 0x4000 + way, record)
+        cache_set.lines[way].touch(_record(pc=0x99), cache_set.accesses + 1)
     cache_set.accesses = 17
     cache_set.accesses_since_miss = 5
     cache_set.misses = 3
@@ -94,23 +92,23 @@ class TestAccessCodec:
 
 class TestLineCodec:
     def test_invalid_line_round_trip(self):
-        line = CacheLine()
-        line.recency = 9
-        back = line_from_wire(line_to_wire(line))
+        wire = line_to_wire(CacheLine(), recency=9)
+        back = line_from_wire(wire)
         assert not back.valid
-        assert back.recency == 9
+        assert wire["r"] == 9
 
     def test_valid_line_round_trip_preserves_table2_metadata(self):
         line = CacheLine()
-        line.fill(0x77, 0x4000, _record())
-        line.touch(_record(pc=0x99))
-        line.recency = 2
-        back = line_from_wire(line_to_wire(line))
+        line.fill(0x77, 0x4000, _record(), now=10)
+        line.touch(_record(pc=0x99), now=13)
+        # At set access 15 the line's ages are 5 and 2.
+        wire = line_to_wire(line, recency=2, ages=(5, 2))
+        assert (wire["r"], wire["ai"], wire["al"]) == (2, 5, 2)
+        back = line_from_wire(wire, accesses=15)
         for field in ("valid", "tag", "line_address", "dirty", "offset",
                       "core", "insertion_pc", "last_pc", "last_access_type",
-                      "insertion_type", "preuse", "age_since_insertion",
-                      "age_since_last_access", "hits_since_insertion",
-                      "access_counts", "recency"):
+                      "insertion_type", "preuse", "hits_since_insertion",
+                      "access_counts", "inserted_at", "last_access_at"):
             assert getattr(back, field) == getattr(line, field), field
 
 
@@ -127,6 +125,12 @@ class TestSetCodec:
         assert [line.valid for line in back.lines] == \
                [line.valid for line in original.lines]
         assert back.lru_way() == original.lru_way()
+        assert back.recencies() == original.recencies()
+        for way in back.valid_ways():
+            assert (back.age_since_insertion(way)
+                    == original.age_since_insertion(way))
+            assert (back.age_since_last_access(way)
+                    == original.age_since_last_access(way))
 
     def test_bad_set_state_raises_frame_error(self):
         with pytest.raises(FrameError):

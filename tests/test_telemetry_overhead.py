@@ -107,7 +107,7 @@ class TestDecisionTracingDisabledPath:
 
     def test_untraced_cache_has_no_decision_observers(self):
         """The only disabled-path residue is one empty-list ``for`` per
-        eviction — same shape as the pre-existing eviction_observers."""
+        eviction."""
         from repro.cache import Cache, CacheConfig
         from repro.cache.replacement import make_policy
 
@@ -149,6 +149,9 @@ class TestDecisionTracingDisabledPath:
     def test_disabled_observer_loop_under_two_percent_of_replay(self):
         """Bound the one remaining disabled-path cost: iterating the empty
         ``decision_observers`` list once per eviction."""
+        from repro.cache import Cache
+        from repro.cache.replacement import make_policy
+
         eval_config = EvalConfig(scale=64, trace_length=1500, seed=7)
         prepared = prepare_workload(eval_config, eval_config.trace("429.mcf"))
 
@@ -158,10 +161,13 @@ class TestDecisionTracingDisabledPath:
             result = replay(prepared, "lru")
         replay_seconds = (time.perf_counter() - started) / repeats
 
+        # Time the statement the cache runs per eviction, on an untraced
+        # cache's own (empty) list.
         evictions = result.llc_stats["evictions"]
-        empty = []
+        cache = Cache(prepared.llc_config, make_policy("lru"))
         loop_seconds = timeit.timeit(
-            lambda: [None for callback in empty],
+            "for callback in cache.decision_observers: pass",
+            globals={"cache": cache},
             number=max(evictions, 1),
         )
 
