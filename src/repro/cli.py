@@ -34,11 +34,7 @@ Commands:
   its expectations (+ golden digest when pinned), ``diff`` renders the
   readable report diff against the golden, ``bless`` re-records goldens
   after an intentional behaviour change
-* ``serve``     — eviction-as-a-service: a deadline-bounded async policy
-  server with degrade-to-LRU fallback (``--metrics-port`` exposes live
-  ``/metrics`` + ``/healthz``; SIGTERM drains with a final snapshot);
-  ``--chaos`` runs the fault-injection soak instead — see docs/serving.md
-* ``bench``     — the perf observatory: replay / objcache / serve / train /
+* ``bench``     — the perf observatory: replay / objcache / train /
   overhead benchmarks with phase attribution, appended to the CRC-enveloped
   ``BENCH_history.jsonl``; ``--compare`` regression-gates against a
   baseline, ``--profile`` captures flamegraphs, and every finished
@@ -46,7 +42,7 @@ Commands:
   completed results byte-identically after a crash) —
   see docs/observability.md
 * ``fsck``      — audit durable artifacts (run directories, the prep
-  cache, goldens, checkpoints, snapshots) for truncation, torn writes and
+  cache, goldens, checkpoints) for truncation, torn writes and
   bit rot; ``--repair`` truncates torn journal tails and quarantines what
   cannot be re-derived — see docs/reliability.md
 """
@@ -63,7 +59,6 @@ from repro.eval.reporting import format_speedup_series, format_table
 from repro.eval.runner import _prepared, compare_policies, replay, run_workload
 from repro.eval.workloads import EvalConfig, suite_names
 from repro.runs.checkpoint import CheckpointError
-from repro.serve.snapshot import SnapshotError
 from repro.store.errors import ArtifactCorruptionError
 from repro.traces.spec_models import ALL_WORKLOADS
 
@@ -1096,79 +1091,6 @@ def cmd_scenario(args) -> int:
     return handlers[args.scenario_command](args)
 
 
-def cmd_serve(args) -> int:
-    """Eviction-as-a-service: run the policy server, or its chaos soak."""
-    from repro.serve.server import PolicyServer, ServeConfig
-
-    if args.chaos:
-        from repro.serve.soak import render_soak_report, run_soak
-
-        report = run_soak(
-            scenario_name=args.scenario,
-            clients=args.clients,
-            artifacts=args.artifacts,
-            library=args.library,
-            progress=lambda message: print(f"# {message}"),
-        )
-        print(render_soak_report(report))
-        if args.artifacts:
-            print(f"artifacts -> {args.artifacts}")
-        return 0 if report["ok"] else 1
-
-    import asyncio
-    import signal
-
-    from repro import telemetry
-    from repro.telemetry.export import build_payload, start_http_exporter
-
-    config = ServeConfig(
-        deadline_us=args.deadline_us,
-        max_batch=args.max_batch,
-        snapshot_every=args.snapshot_every,
-        snapshot_dir=args.snapshot_dir,
-    )
-    telemetry.configure(registry=telemetry.MetricsRegistry())
-    server = PolicyServer(config, host=args.host, port=args.port, log=print)
-    exporter = None
-
-    async def serve() -> int:
-        nonlocal exporter
-        if args.restore:
-            server.restore(args.restore)
-        await server.start()
-        if args.metrics_port is not None:
-            exporter = start_http_exporter(
-                lambda: build_payload(
-                    "serve", telemetry.get_registry().snapshot()
-                ),
-                port=args.metrics_port,
-                health_fn=server.health_payload,
-            )
-            print(f"metrics on http://{exporter.host}:{exporter.port}"
-                  f"/metrics (+ /healthz)")
-        drained = asyncio.Event()
-        loop = asyncio.get_running_loop()
-
-        def request_drain(signame: str) -> None:
-            print(f"received {signame}: draining")
-            drained.set()
-
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(
-                signum, request_drain, signal.Signals(signum).name
-            )
-        await drained.wait()
-        await server.drain()
-        return 0
-
-    try:
-        return asyncio.run(serve())
-    finally:
-        if exporter is not None:
-            exporter.close()
-        telemetry.shutdown()
-
-
 # -- parser ---------------------------------------------------------------------
 
 
@@ -1292,8 +1214,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "gate (BENCH_*.json + BENCH_history.jsonl)"
     )
     bench.add_argument("which", nargs="?", default="all",
-                       choices=("all", "replay", "objcache", "serve",
-                                "train", "overhead", "history"),
+                       choices=("all", "replay", "objcache", "train",
+                                "overhead", "history"),
                        help="which benchmark to run, or 'history' to render "
                             "the recorded trajectory (default all)")
     bench.add_argument("--repeats", type=int, default=3,
@@ -1481,43 +1403,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="bless every scenario marked "
                                      "'golden: true'")
 
-    serve = commands.add_parser(
-        "serve",
-        help="eviction-as-a-service policy server (+ --chaos soak)",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="listen port (default 0 = any free port)")
-    serve.add_argument("--deadline-us", type=float, default=500.0,
-                       help="simulated per-request decision budget in "
-                            "microseconds (default 500)")
-    serve.add_argument("--max-batch", type=int, default=8,
-                       help="micro-batch size for the decide loop")
-    serve.add_argument("--snapshot-dir", default=None, metavar="DIR",
-                       help="write crash-safe tenant snapshots here "
-                            "(final snapshot on SIGTERM drain)")
-    serve.add_argument("--snapshot-every", type=int, default=0, metavar="N",
-                       help="also snapshot every N victim requests")
-    serve.add_argument("--restore", default=None, metavar="PATH",
-                       help="restore tenants from a snapshot before serving")
-    serve.add_argument("--metrics-port", type=int, default=None,
-                       metavar="PORT",
-                       help="expose /metrics and /healthz on this port "
-                            "(0 = any free port)")
-    serve.add_argument("--chaos", action="store_true",
-                       help="run the chaos soak instead of serving: "
-                            "identity phase + two deterministic fault "
-                            "rounds (see docs/serving.md)")
-    serve.add_argument("--clients", type=int, default=4,
-                       help="concurrent soak client threads (default 4)")
-    serve.add_argument("--scenario", default="smoke-serve",
-                       help="soak grid scenario (default smoke-serve)")
-    serve.add_argument("--artifacts", default=None, metavar="DIR",
-                       help="write soak server.log / metrics.json / "
-                            "soak-report.json here")
-    serve.add_argument("--library", default=None, metavar="DIR",
-                       help="scenario library root for --chaos")
-
     return parser
 
 
@@ -1540,7 +1425,6 @@ _COMMANDS = {
     "report": cmd_report,
     "validate": cmd_validate,
     "scenario": cmd_scenario,
-    "serve": cmd_serve,
 }
 
 
@@ -1561,9 +1445,9 @@ def main(argv=None) -> int:
         # the message, not a traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except (ArtifactCorruptionError, CheckpointError, SnapshotError) as error:
-        # Corrupt durable state (torn/bit-rotted checkpoint, snapshot,
-        # journal, golden): a typed message plus the repair hint, never a
+    except (ArtifactCorruptionError, CheckpointError) as error:
+        # Corrupt durable state (torn/bit-rotted checkpoint, journal,
+        # golden): a typed message plus the repair hint, never a
         # traceback.
         print(f"error: {error}", file=sys.stderr)
         print("hint: `python -m repro fsck <path> --repair` audits and "

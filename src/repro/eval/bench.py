@@ -7,8 +7,6 @@ A matrix of fixed, small, deterministic workloads, one family per engine:
 * **objcache**: the golden object-cache scenario shape (Zipfian trace,
   lognormal inverse-correlated sizes) per object policy, plus
   admission-gated variants (``lru+size_threshold``, ``lru+freq_gate``);
-* **serve**: round-trip decide latency against the threaded policy server
-  (count-based nearest-rank percentiles, decides/sec);
 * **train**: one Q-learning epoch over a recorded LLC stream (records/sec);
 * **overhead**: the disabled-path budget guards (telemetry hooks, decision
   observer loops, sanitizer off-mode, profiler parity) as asserted checks.
@@ -35,7 +33,7 @@ from pathlib import Path
 
 #: Bumped whenever a payload's shape changes (satellite: snapshots must be
 #: correlatable with history — see docs/observability.md).
-#: v2: added schema/git stamps, phases, serve/train/overhead families.
+#: v2: added schema/git stamps, phases and more bench families.
 BENCH_SCHEMA_VERSION = 2
 
 DEFAULT_REPEATS = 3
@@ -59,12 +57,6 @@ REPLAY_BENCH = {
     "trace_length": 20_000,
     "seed": 7,
     "policies": ("lru", "srrip", "drrip", "ship++", "rlr"),
-}
-
-#: The serve round-trip benchmark shape.
-SERVE_BENCH = {
-    "requests": 150,
-    "policies": ("lru", "rlr"),
 }
 
 #: One training epoch over a small recorded LLC stream.
@@ -102,14 +94,6 @@ def _best_rate(run, units: int, repeats: int) -> float:
         if elapsed > 0:
             best = max(best, units / elapsed)
     return best
-
-
-def _nearest_rank(sorted_values, percentile: float) -> float:
-    """Count-based nearest-rank percentile (deterministic given the list)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, -(-len(sorted_values) * percentile // 100))  # ceil
-    return sorted_values[int(rank) - 1]
 
 
 def _git_state() -> dict:
@@ -236,106 +220,6 @@ def bench_replay(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
     }
 
 
-def bench_serve(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
-    """Round-trip decide latency/throughput against the threaded server.
-
-    Latency percentiles are count-based nearest-rank over the best repeat's
-    per-request wall times (deterministic given the measurements); the
-    phase split times ``policy.victim`` on the server side, with the
-    remainder attributed to ``transport`` (framing, socket, micro-batch
-    queueing, simulated deadline cost).
-    """
-    from repro.cache.cache_set import CacheSet
-    from repro.cache.config import CacheConfig
-    from repro.serve.client import PolicyClient
-    from repro.serve.protocol import victim_request
-    from repro.serve.server import ServeConfig, start_in_thread
-    from repro.telemetry.perf import PhaseProfile
-    from repro.traces.record import AccessType, TraceRecord
-
-    spec = _merged(SERVE_BENCH, spec)
-    requests = spec["requests"]
-    record = TraceRecord(address=0x1000, pc=0x40,
-                         access_type=AccessType.LOAD, core=0)
-    config = CacheConfig("llc", 64 * 1024, 16, 30)
-    cache_set = CacheSet(0, 16)
-    for way in range(16):  # way 0 is the LRU line, way 15 the MRU
-        cache_set.fill(way, 0x10 + way, 0x4000 + way, record)
-
-    rates, latency_us, phases = {}, {}, {}
-    with start_in_thread(ServeConfig()) as handle:
-        for policy in spec["policies"]:
-            tenant = f"bench-{policy}"
-            client = PolicyClient(handle.host, handle.port)
-            try:
-                if client.bind(tenant, policy, config) is None:
-                    raise RuntimeError(f"serve bench: bind({policy}) failed")
-                shard = handle.server.shards[tenant]
-                victim_box = [0.0, 0]  # seconds, calls (GIL-safe accum)
-                original = shard.policy.victim
-
-                def timed_victim(set_index, victim_set, access,
-                                 original=original, box=victim_box):
-                    started = time.perf_counter()
-                    way = original(set_index, victim_set, access)
-                    box[0] += time.perf_counter() - started
-                    box[1] += 1
-                    return way
-
-                shard.policy.victim = timed_victim
-                best_rate, best = 0.0, None
-                for repeat in range(max(1, repeats)):
-                    victim_box[0], victim_box[1] = 0.0, 0
-                    latencies = []
-                    started = time.perf_counter()
-                    for index in range(requests):
-                        frame = victim_request(
-                            tenant, f"{policy}-{repeat}-{index}", 0,
-                            cache_set, record,
-                        )
-                        sent = time.perf_counter()
-                        reply = client.request(frame)
-                        latencies.append(time.perf_counter() - sent)
-                        if reply is None or not reply.get("ok"):
-                            raise RuntimeError(
-                                f"serve bench: victim({policy}) failed: "
-                                f"{reply!r}"
-                            )
-                    elapsed = time.perf_counter() - started
-                    rate = requests / elapsed if elapsed > 0 else 0.0
-                    if rate >= best_rate:
-                        best_rate = rate
-                        best = (sorted(latencies), elapsed,
-                                victim_box[0], victim_box[1])
-                rates[policy] = round(best_rate, 1)
-                latencies, elapsed, victim_seconds, victim_calls = best
-                latency_us[policy] = {
-                    f"p{pct}": round(
-                        _nearest_rank(latencies, pct) * 1e6, 1
-                    )
-                    for pct in (50, 90, 99)
-                }
-                profile = PhaseProfile("serve")
-                profile.accesses = requests
-                profile.raw["victim"] = victim_seconds
-                profile.count("victim_scoring", victim_calls)
-                profile.finish(elapsed)
-                phases[policy] = profile.as_dict()
-            finally:
-                client.close()
-    return {
-        "bench": "serve",
-        "schema": BENCH_SCHEMA_VERSION,
-        "unit": "decides/sec",
-        "repeats": repeats,
-        "requests": requests,
-        "environment": _environment(),
-        "rates": rates,
-        "latency_us": latency_us,
-        "phases": phases,
-    }
-
-
 def bench_train(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
     """Records/sec of one Q-learning epoch over a recorded LLC stream."""
     from repro.eval.workloads import EvalConfig
@@ -389,7 +273,6 @@ def bench_overhead(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
     from repro.eval.workloads import EvalConfig
     from repro.sanitize import wrap_policy
     from repro.telemetry.perf import PhaseProfile
-    from repro.telemetry.profiling import profiled
     from repro.telemetry.registry import NULL_REGISTRY
     from repro.telemetry.spans import NULL_SPAN
 
@@ -410,14 +293,11 @@ def bench_overhead(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
 
     checks = {}
 
-    # Telemetry hooks with telemetry disabled: one span() + one profiled()
-    # call per *loop*, bounded against the smallest replay the sweep
-    # engine ever schedules.
+    # Telemetry hooks with telemetry disabled: one span() call per *loop*,
+    # bounded against the smallest replay the sweep engine ever schedules.
     calls = 2000
     hook_seconds = timeit.timeit(
-        lambda: (telemetry.span("replay", workload="w"),
-                 profiled((), "replay")),
-        number=calls,
+        lambda: telemetry.span("replay", workload="w"), number=calls,
     ) / calls
     ratio = hook_seconds / replay_seconds
     checks["telemetry_hooks_disabled"] = {
@@ -439,18 +319,14 @@ def bench_overhead(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
         "unit": "fraction of smallest replay",
     }
 
-    # profiled()/span()/registry identity: the disabled path binds the
-    # exact objects telemetry-free code would.
-    items = [1, 2, 3]
-    generator = (item for item in items)
+    # span()/registry identity: the disabled path binds the shared null
+    # objects, so telemetry-free code pays no allocation.
     identity = (
         not telemetry.is_enabled()
-        and profiled(items, "replay") is items
-        and profiled(generator, "replay") is generator
         and telemetry.span("replay") is NULL_SPAN
         and telemetry.get_registry() is NULL_REGISTRY
     )
-    checks["profiled_disabled_identity"] = {
+    checks["telemetry_disabled_identity"] = {
         "value": 1.0 if identity else 0.0, "budget": None, "ok": identity,
         "unit": "identity",
     }
@@ -494,7 +370,6 @@ def bench_overhead(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
 BENCHES = {
     "replay": (bench_replay, "BENCH_replay.json"),
     "objcache": (bench_objcache, "BENCH_objcache.json"),
-    "serve": (bench_serve, "BENCH_serve.json"),
     "train": (bench_train, "BENCH_train.json"),
     "overhead": (bench_overhead, "BENCH_overhead.json"),
 }

@@ -12,7 +12,7 @@ The gate (:func:`compare`) is deliberately simple and reproducible:
 * rates are already **min-noise** (best-of-N inside the bench), so the
   comparison needs no statistics beyond a relative threshold;
 * thresholds are **per bench family** (:data:`FAMILY_THRESHOLDS`) because
-  a 150-request serve loop is noisier than a 20k-access replay;
+  a one-epoch training run is noisier than a 20k-access replay;
 * the **overhead** family gates on its absolute ``ok`` budget flags, not
   on baseline deltas — a budget bust is a regression even on day one;
 * a bench or rate key missing from the baseline is ``new``, never a
@@ -42,7 +42,6 @@ DEFAULT_HISTORY_NAME = "BENCH_history.jsonl"
 FAMILY_THRESHOLDS = {
     "replay": 0.25,
     "objcache": 0.25,
-    "serve": 0.40,
     "train": 0.30,
     "overhead": None,
 }

@@ -31,7 +31,7 @@ from repro.cpu.core_model import TimingModel
 from repro.cpu.system import SystemResult
 from repro.eval.workloads import EvalConfig
 from repro.sanitize import wrap_policy
-from repro.telemetry import profiled, span
+from repro.telemetry import span
 from repro.testing.faults import maybe_fault
 from repro.traces.record import Trace
 
@@ -94,10 +94,9 @@ def prepare_workload(
     instructions = [0] * num_cores
     issue_width = timing.core_config.issue_width
     stall = timing._stall
-    with span("prepare_workload", workload=trace.name):
-        for position, record in enumerate(
-            profiled(trace.records, "prepare_workload")
-        ):
+    with span("prepare_workload", workload=trace.name,
+              records=len(trace.records)):
+        for position, record in enumerate(trace.records):
             if position == warmup_end:
                 warmup_index = len(llc_records)
             level = hierarchy.access(record)
@@ -213,10 +212,9 @@ def replay(
             "replay",
             workload=prepared.trace_name,
             policy=getattr(policy, "name", "unknown"),
+            records=len(prepared.llc_records),
         ):
-            for position, record in enumerate(
-                profiled(prepared.llc_records, "replay")
-            ):
+            for position, record in enumerate(prepared.llc_records):
                 if position == warmup_index:
                     cache.reset_stats()
                 result = cache.access(record)

@@ -28,7 +28,8 @@ explicit ``sanitize=`` arguments; see docs/validation.md):
 ``off``
     No wrapping at all — :func:`wrap_policy` returns its argument, so the
     per-access hot path is structurally identical to pre-sanitizer code
-    (mirroring the telemetry ``profiled()`` guarantee).
+    (mirroring telemetry's disabled path, where ``span()`` and
+    ``get_registry()`` return shared null objects).
 """
 
 from __future__ import annotations

@@ -70,9 +70,8 @@ class CheckedPolicy:
         self._bound = getattr(policy, "num_sets", 0) > 0
         self._pending_evictions = 0
         self.violations = []  #: recorded contract-violation descriptions
-        #: Serializes the degrade transition: concurrent callers (the
-        #: policy server shares one wrapper across connection handlers)
-        #: must record the first violation exactly once.
+        #: Serializes the degrade transition: concurrent callers sharing
+        #: one wrapper must record the first violation exactly once.
         self._degrade_lock = threading.Lock()
         # Per-access hooks are rebound directly: zero wrapper overhead on
         # the hit path (see module docstring).

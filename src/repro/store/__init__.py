@@ -1,8 +1,8 @@
 """Unified durable-artifact layer: checksummed frames, manifests, fsck.
 
 Every artifact family the system persists — run journals, training
-checkpoints, prepared-workload cache entries, policy-server snapshots,
-decision logs, golden reports — used to carry its own ad-hoc notion of
+checkpoints, prepared-workload cache entries, decision logs, golden
+reports — used to carry its own ad-hoc notion of
 "is this file damaged?".  This package is the one storage substrate they
 all share:
 

@@ -9,8 +9,8 @@ artifact                  check
 ========================= ==================================================
 ``journal.jsonl``         per-line CRC envelopes (:mod:`repro.runs.journal`)
 framed files              frame scan (:mod:`repro.store.frames`): magic,
-(checkpoints, snapshots,  per-frame CRC, family tag, truncation
-prep-cache entries)
+(checkpoints, prep-cache  per-frame CRC, family tag, truncation
+entries)
 JSONL logs                line-by-line parse + format-specific validation
 (``decisions.jsonl``,     (:func:`repro.telemetry.decisions.
 ``spans.jsonl``)          validate_decision_log` et al.)

@@ -1,4 +1,4 @@
-"""``repro.telemetry`` — metrics, spans, and hot-loop profiling.
+"""``repro.telemetry`` — metrics, spans, and phase attribution.
 
 The observability layer for long-running entry points (sweeps, training,
 parallel evaluation).  Three pieces:
@@ -9,14 +9,15 @@ parallel evaluation).  Three pieces:
   across worker counts);
 * **span tracing** (:mod:`repro.telemetry.spans`): ``with span("name",
   key=value): ...`` appends timed JSONL events to the run directory;
-* **hot-loop profiling** (:mod:`repro.telemetry.profiling`):
-  ``profiled(iterable, "replay")`` is the identity function when telemetry
-  is disabled, a counting/timing wrapper when enabled.
+* **phase attribution** (:mod:`repro.telemetry.perf`): an opt-in
+  :class:`PhaseProfile` splits one replay's wall time into exclusive
+  phases (``repro bench``).
 
 Telemetry is **off by default** and the disabled path is engineered to be
-free: ``get_registry()`` returns a shared null registry, ``span()`` returns
-a shared null context manager, ``profiled()`` returns its argument.  Enable
-it per process::
+free: ``get_registry()`` returns a shared null registry and ``span()``
+returns a shared null context manager.  The hot loops are wrapped once
+per loop, never per item: the ``replay`` and ``prepare_workload`` spans
+carry the loop's record count.  Enable it per process::
 
     from repro import telemetry
     telemetry.configure(registry=telemetry.MetricsRegistry(),
@@ -38,7 +39,6 @@ from repro.telemetry.perf import (
     collapse_profile,
     profile_structures,
 )
-from repro.telemetry.profiling import loop_totals, profiled, reset_loop_totals
 from repro.telemetry.registry import (
     MAGNITUDE_BUCKETS,
     NULL_REGISTRY,
@@ -81,13 +81,10 @@ __all__ = [
     "get_recorder",
     "get_registry",
     "is_enabled",
-    "loop_totals",
     "merge_snapshots",
     "metric_key",
     "profile_structures",
-    "profiled",
     "read_spans",
-    "reset_loop_totals",
     "shutdown",
     "span",
     "split_metric_key",
@@ -125,7 +122,6 @@ def shutdown() -> None:
     if _recorder is not None:
         _recorder.close()
         _recorder = None
-    reset_loop_totals()
 
 
 def is_enabled() -> bool:

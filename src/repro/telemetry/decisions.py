@@ -8,7 +8,7 @@ every downstream consumer — ``repro inspect``, the Figure 5-7 collectors,
 the agreement profiler — reads the same events instead of re-instrumenting
 its own replay.
 
-Design rules (mirroring :func:`repro.telemetry.profiling.profiled`):
+Design rules (mirroring the telemetry disabled path in :mod:`repro.telemetry`):
 
 * **Identity when disabled.**  A replay without a :class:`DecisionTrace`
   executes the exact hot-loop code it always did; the only residue is the

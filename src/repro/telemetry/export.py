@@ -22,17 +22,14 @@ deterministic sections from wall-clock data:
 ``counters``/``gauges``/``histograms`` are pure functions of simulation
 results and merge deterministically (``--jobs 1`` == ``--jobs 4``, byte
 for byte); ``timings``/``ops``/``meta`` are observability-only.  The
-Prometheus exporter renders the same payload in text exposition format for
-scraping long runs (``repro metrics <run-dir> --prometheus``, or
-:func:`start_http_exporter` for a live endpoint).
+Prometheus exporter renders the same payload in text exposition format
+(``repro metrics <run-dir> --prometheus``).
 """
 
 from __future__ import annotations
 
 import json
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.runs.atomic import atomic_write_text
@@ -266,106 +263,3 @@ def to_prometheus(payload: dict) -> str:
         emit(f"ops_{key}_total", {}, value, "counter")
     return "\n".join(lines) + "\n"
 
-
-class HttpExporter:
-    """A running metrics endpoint: explicit port, clean shutdown.
-
-    Returned by :func:`start_http_exporter`.  Supports ``with`` for scoped
-    use and unpacks as the historical ``(server, thread)`` pair, so older
-    call sites keep working::
-
-        with start_http_exporter(payload_fn) as exporter:
-            scrape(f"http://127.0.0.1:{exporter.port}/metrics")
-
-        server, thread = start_http_exporter(payload_fn)  # legacy form
-    """
-
-    def __init__(self, server, thread):
-        self.server = server
-        self.thread = thread
-
-    @property
-    def host(self) -> str:
-        return self.server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """The actually-bound TCP port (resolves a requested port 0)."""
-        return self.server.server_address[1]
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop serving, release the socket, and join the thread."""
-        self.server.shutdown()
-        self.server.server_close()
-        self.thread.join(timeout=timeout)
-
-    def __enter__(self) -> "HttpExporter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __iter__(self):
-        return iter((self.server, self.thread))
-
-    def __repr__(self) -> str:
-        return f"HttpExporter(http://{self.host}:{self.port}/metrics)"
-
-
-def start_http_exporter(payload_fn, host: str = "127.0.0.1", port: int = 0,
-                        health_fn=None) -> HttpExporter:
-    """Serve ``payload_fn()`` at ``/metrics`` in Prometheus format.
-
-    Returns an :class:`HttpExporter`; call ``.close()`` (or use it as a
-    context manager) to stop.  Meant for scraping long sweeps/training
-    runs; the handler re-evaluates ``payload_fn`` per request, so a live
-    registry snapshot works::
-
-        start_http_exporter(lambda: build_payload(
-            "train", telemetry.get_registry().snapshot()))
-
-    ``health_fn`` (optional) enables ``/healthz``: it returns a JSON-able
-    dict served with status 200 when its ``"ok"`` key is truthy (or
-    missing) and 503 otherwise — the policy server wires its shard health
-    in here.  Binding a port that is already taken raises :class:`OSError`
-    with a message naming the address instead of a bare errno traceback.
-    """
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_GET(self):  # noqa: N802 (http.server API)
-            path = self.path.rstrip("/")
-            if path == "/healthz" and health_fn is not None:
-                health = health_fn()
-                body = json.dumps(health, sort_keys=True).encode("utf-8")
-                self.send_response(200 if health.get("ok", True) else 503)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-                return
-            if path not in ("", "/metrics"):
-                self.send_error(404)
-                return
-            body = to_prometheus(payload_fn()).encode("utf-8")
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):  # quiet by default
-            pass
-
-    try:
-        server = ThreadingHTTPServer((host, port), Handler)
-    except OSError as error:
-        raise OSError(
-            f"metrics exporter could not bind {host}:{port}: {error} — "
-            f"is another exporter already listening there?  Pass port=0 "
-            f"to pick any free port."
-        ) from error
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return HttpExporter(server, thread)

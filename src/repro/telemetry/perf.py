@@ -18,8 +18,6 @@ phase                  meaning
                        (``on_admit`` for objcache) policy hooks
 ``admission``          admission ``record`` + ``admit`` (objcache only)
 ``telemetry``          registered access/decision observers
-``transport``          everything outside ``policy.victim`` on the serve
-                       round-trip (framing, socket, micro-batch queueing)
 =====================  =======================================================
 
 Accounting is *subtractive*: raw timers nest (``victim`` inside ``access``
@@ -52,20 +50,18 @@ PHASES = (
     "policy_update",
     "admission",
     "telemetry",
-    "transport",
 )
 
-ENGINES = ("replay", "objcache", "serve", "train")
+ENGINES = ("replay", "objcache")
 
 
 class PhaseProfile:
     """Accumulates raw nested timers; ``finish()`` derives exclusive phases.
 
-    One instance profiles one replay (or one object-cache replay, or one
-    serve client loop).  ``raw`` holds inclusive accumulators; ``calls``
-    holds deterministic invocation counts per phase; ``phases`` (after
-    :meth:`finish`) holds the exclusive seconds whose sum reconciles with
-    ``loop_seconds``.
+    One instance profiles one replay (or one object-cache replay).  ``raw``
+    holds inclusive accumulators; ``calls`` holds deterministic invocation
+    counts per phase; ``phases`` (after :meth:`finish`) holds the exclusive
+    seconds whose sum reconciles with ``loop_seconds``.
     """
 
     def __init__(self, engine: str) -> None:
@@ -100,27 +96,22 @@ class PhaseProfile:
         only through float rounding) clamped to zero.
         """
         self.loop_seconds += loop_seconds
-        raw, phases = self.raw, {}
-        if self.engine in ("replay", "objcache"):
-            inside_access = (
-                raw["victim"] + raw["hooks"] + raw["observers"]
-                + raw["admission"]
-            )
-            phases["trace_decode"] = max(0.0, self.loop_seconds - raw["access"])
-            phases["tag_lookup"] = max(0.0, raw["access"] - inside_access)
-            phases["victim_scoring"] = max(0.0, raw["victim"] - raw["feature"])
-            phases["feature_extraction"] = raw["feature"]
-            phases["policy_update"] = raw["hooks"]
-            phases["telemetry"] = raw["observers"]
-            if self.engine == "objcache":
-                phases["admission"] = raw["admission"]
-            self.calls["trace_decode"] = self.accesses
-            self.calls["tag_lookup"] = self.accesses
-        elif self.engine == "serve":
-            phases["victim_scoring"] = max(0.0, raw["victim"] - raw["feature"])
-            phases["feature_extraction"] = raw["feature"]
-            phases["transport"] = max(0.0, self.loop_seconds - raw["victim"])
-            self.calls["transport"] = self.accesses
+        raw = self.raw
+        inside_access = (
+            raw["victim"] + raw["hooks"] + raw["observers"] + raw["admission"]
+        )
+        phases = {
+            "trace_decode": max(0.0, self.loop_seconds - raw["access"]),
+            "tag_lookup": max(0.0, raw["access"] - inside_access),
+            "victim_scoring": max(0.0, raw["victim"] - raw["feature"]),
+            "feature_extraction": raw["feature"],
+            "policy_update": raw["hooks"],
+            "telemetry": raw["observers"],
+        }
+        if self.engine == "objcache":
+            phases["admission"] = raw["admission"]
+        self.calls["trace_decode"] = self.accesses
+        self.calls["tag_lookup"] = self.accesses
         self.phases = phases
 
     # -- reporting ---------------------------------------------------------
@@ -403,11 +394,11 @@ def _structure_cell(cell: dict) -> dict:
     """Worker: profile one (engine, policy) cell, return its structure.
 
     Module-level so :func:`profile_structures` can fan out over a process
-    pool; ``cell`` is a plain dict of primitives for picklability.
+    pool; ``cell`` is a plain dict of primitives for picklability.  The
+    :class:`PhaseProfile` constructor rejects an engine it cannot attribute.
     """
-    engine = cell["engine"]
-    profile = PhaseProfile(engine)
-    if engine == "replay":
+    profile = PhaseProfile(cell["engine"])
+    if profile.engine == "replay":
         from repro.eval.runner import prepare_workload, replay
         from repro.eval.workloads import EvalConfig
 
@@ -420,25 +411,23 @@ def _structure_cell(cell: dict) -> dict:
         prepared = prepare_workload(config, trace)
         replay(prepared, cell.get("policy", "lru"), profile=profile)
         return profile.structure()
-    if engine == "objcache":
-        from repro.objcache import generate_object_trace, make_object_policy
+    from repro.objcache import generate_object_trace, make_object_policy
 
-        trace = generate_object_trace(
-            name="perf-cell", kind="zipf",
-            objects=cell.get("objects", 400),
-            length=cell.get("length", 2000),
-            seed=cell.get("seed", 7), alpha=cell.get("alpha", 1.0),
-            sizes={"dist": "lognormal", "min": 256, "max": 1 << 16,
-                   "correlate": "inverse"},
-        )
-        cache = make_profiled_object_cache(
-            cell.get("capacity_bytes", 1_000_000),
-            make_object_policy(cell.get("policy", "lru")),
-            profile,
-        )
-        cache.replay(trace.requests)
-        return profile.structure()
-    raise ValueError(f"profile_structures cannot run engine {engine!r}")
+    trace = generate_object_trace(
+        name="perf-cell", kind="zipf",
+        objects=cell.get("objects", 400),
+        length=cell.get("length", 2000),
+        seed=cell.get("seed", 7), alpha=cell.get("alpha", 1.0),
+        sizes={"dist": "lognormal", "min": 256, "max": 1 << 16,
+               "correlate": "inverse"},
+    )
+    cache = make_profiled_object_cache(
+        cell.get("capacity_bytes", 1_000_000),
+        make_object_policy(cell.get("policy", "lru")),
+        profile,
+    )
+    cache.replay(trace.requests)
+    return profile.structure()
 
 
 def profile_structures(cells, jobs: int = 1) -> list:

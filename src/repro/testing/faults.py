@@ -5,8 +5,7 @@ journal resume, corrupt-cache fallback — only matter when things go wrong,
 so this harness makes things go wrong *on demand and deterministically*:
 
 * a :class:`FaultSpec` names an instrumented **site** (``"replay"``,
-  ``"prepare"``, ``"prep-cache"``, or one of the serving sites
-  ``"serve.decide"`` / ``"serve.reply"`` / ``"serve.conn"``), an optional
+  ``"prepare"``, ``"prep-cache"``, ``"atomic-write"``, ...), an optional
   identity **match** (e.g. ``{"workload": "429.mcf", "policy": "lru"}``),
   an **action**, and a trigger window (fire on matching calls
   ``after < n <= after + times``);
@@ -34,18 +33,7 @@ Actions:
     Does nothing by itself; :func:`poisoned` returns True at matching call
     sites, letting instrumented code corrupt its *own* state in a
     domain-appropriate way (e.g. the trainer NaN-ing its network to
-    exercise the divergence guard, or the policy server corrupting a
-    reply frame).
-``slow:<ms>``
-    Sleep for ``<ms>`` milliseconds, then return normally.  A
-    duration-bearing action: the caller learns the duration through
-    :func:`parse_action` and (in the policy server) charges it against
-    the request's simulated deadline budget.
-``hang_until_deadline``
-    Performs no real sleep at all; the *caller* interprets the returned
-    action as "this request consumed its whole deadline budget".  Used by
-    the policy server to exercise the degrade-to-LRU fallback path
-    deterministically, without wall-clock dependence.
+    exercise the divergence guard).
 ``torn_write:<nbytes>``
     Interpreted by the atomic-write path (:func:`repro.runs.atomic.
     atomic_write`, site ``"atomic-write"``): simulate a filesystem that
@@ -68,9 +56,8 @@ Actions:
 
 Instrumented production code calls :func:`maybe_fault` with its site and
 identity; the call is a single dict lookup when no faults are installed.
-Both :func:`maybe_fault` and its asyncio twin :func:`maybe_fault_async`
-return the action string that fired (or ``None``), so deadline-aware
-callers can account for ``slow``/``hang_until_deadline`` costs.
+:func:`maybe_fault` returns the action string that fired (or ``None``), so
+the atomic-write path can interpret the byte-fault actions itself.
 """
 
 from __future__ import annotations
@@ -85,14 +72,10 @@ from pathlib import Path
 ENV_SPECS = "REPRO_FAULTS"
 ENV_STATE = "REPRO_FAULTS_STATE"
 
-#: Fixed action kinds; ``slow`` carries a duration suffix (``slow:<ms>``)
-#: and the byte-fault actions carry a byte count/offset suffix
-#: (``torn_write:<n>`` / ``bit_flip:<n>`` / ``crash_at_byte:<n>``),
+#: Fixed action kinds; the byte-fault actions carry a byte count/offset
+#: suffix (``torn_write:<n>`` / ``bit_flip:<n>`` / ``crash_at_byte:<n>``),
 #: validated by :func:`parse_action`.
-_ACTIONS = (
-    "crash", "hang", "error", "corrupt", "poison", "slow",
-    "hang_until_deadline",
-)
+_ACTIONS = ("crash", "hang", "error", "corrupt", "poison")
 
 #: Actions interpreted by the atomic-write path (suffix = a byte value).
 BYTE_FAULT_ACTIONS = ("torn_write", "bit_flip", "crash_at_byte")
@@ -115,12 +98,11 @@ class SimulatedCrash(BaseException):
 def parse_action(action: str):
     """Split an action string into ``(kind, value)``.
 
-    ``"slow:2.5"`` -> ``("slow", 2.5)``; ``"torn_write:7"`` ->
-    ``("torn_write", 7)`` (likewise ``bit_flip``/``crash_at_byte``);
-    every other action has no value (``("hang", None)``).  Raises
-    :class:`ValueError` on unknown kinds or malformed suffixes, so specs
-    fail loudly at install / decode time rather than silently never
-    firing.
+    ``"torn_write:7"`` -> ``("torn_write", 7)`` (likewise
+    ``bit_flip``/``crash_at_byte``); every other action has no value
+    (``("hang", None)``).  Raises :class:`ValueError` on unknown kinds or
+    malformed suffixes, so specs fail loudly at install / decode time
+    rather than silently never firing.
     """
     kind, _, suffix = str(action).partition(":")
     if kind in BYTE_FAULT_ACTIONS:
@@ -139,23 +121,10 @@ def parse_action(action: str):
         return kind, value
     if kind not in _ACTIONS:
         raise ValueError(f"unknown fault action {action!r}")
-    if kind == "slow":
-        if not suffix:
-            raise ValueError(
-                f"action {action!r} needs a duration: use 'slow:<ms>'"
-            )
-        try:
-            duration = float(suffix)
-        except ValueError:
-            raise ValueError(
-                f"action {action!r} has a non-numeric duration {suffix!r}"
-            ) from None
-        if duration < 0:
-            raise ValueError(f"action {action!r} has a negative duration")
-        return kind, duration
     if suffix:
         raise ValueError(
-            f"action {action!r}: only 'slow' takes a ':<ms>' suffix"
+            f"action {action!r}: only the byte-fault actions "
+            f"{BYTE_FAULT_ACTIONS} take a ':<n>' suffix"
         )
     return kind, None
 
@@ -164,8 +133,8 @@ def parse_action(action: str):
 class FaultSpec:
     """One injected fault: where, what, and when."""
 
-    site: str  #: instrumented call site ("replay", "serve.decide", ...)
-    action: str  #: one of the actions above ("slow" spelled "slow:<ms>")
+    site: str  #: instrumented call site ("replay", "atomic-write", ...)
+    action: str  #: one of the actions above (e.g. "torn_write:<n>")
     match: dict = field(default_factory=dict)  #: identity keys that must match
     after: int = 0  #: skip the first ``after`` matching calls
     times: int = 1  #: fire on this many calls, then stand down
@@ -276,8 +245,8 @@ def _armed_spec(site: str, identity: dict, poison: bool):
 
 
 def _fire(spec: FaultSpec, identity: dict) -> None:
-    """Perform the synchronous side effect of a fired spec."""
-    kind, duration_ms = parse_action(spec.action)
+    """Perform the side effect of a fired spec."""
+    kind, _ = parse_action(spec.action)
     if kind in BYTE_FAULT_ACTIONS:
         # No side effect here: the instrumented atomic-write path owns the
         # bytes and interprets the returned action itself.
@@ -286,12 +255,6 @@ def _fire(spec: FaultSpec, identity: dict) -> None:
         os._exit(spec.exit_code)
     if kind == "hang":
         time.sleep(spec.hang_seconds)
-        return
-    if kind == "slow":
-        time.sleep(duration_ms / 1000.0)
-        return
-    if kind == "hang_until_deadline":
-        # No real sleep: the caller charges the deadline budget instead.
         return
     if kind == "corrupt":
         path = identity.get("path")
@@ -310,38 +273,13 @@ def maybe_fault(site: str, **identity):
 
     Called from instrumented production code; a no-op (one environment
     lookup) unless :func:`install_faults` is active.  Returns the action
-    string that fired (``None`` when nothing fired) so deadline-aware
-    callers can account for duration-bearing actions.
+    string that fired (``None`` when nothing fired) so the atomic-write
+    path can interpret a byte-fault action.
     """
     spec = _armed_spec(site, identity, poison=False)
     if spec is None:
         return None
     _fire(spec, identity)
-    return spec.action
-
-
-async def maybe_fault_async(site: str, **identity):
-    """Asyncio twin of :func:`maybe_fault` for instrumented coroutines.
-
-    ``hang``/``slow`` use ``asyncio.sleep`` so a fired fault stalls only
-    its own task, not the event loop — that is what makes ``slow`` a
-    *stalled-socket* fault rather than a stalled-server fault.  All other
-    actions behave exactly like the synchronous version, and the fired
-    action string is returned the same way.
-    """
-    spec = _armed_spec(site, identity, poison=False)
-    if spec is None:
-        return None
-    import asyncio
-
-    kind, duration_ms = parse_action(spec.action)
-    if kind == "hang":
-        await asyncio.sleep(spec.hang_seconds)
-        return spec.action
-    if kind == "slow":
-        await asyncio.sleep(duration_ms / 1000.0)
-        return spec.action
-    _fire(spec, identity)  # crash / error / corrupt / hang_until_deadline
     return spec.action
 
 

@@ -77,12 +77,12 @@ class TestHistoryLog:
     def test_latest_per_bench_keeps_append_order_winner(self):
         payloads = [
             payload(rates={"lru": 1.0}),
-            payload(bench="serve", rates={"lru": 2.0}),
+            payload(bench="objcache", rates={"lru": 2.0}),
             payload(rates={"lru": 3.0}),
         ]
         latest = latest_per_bench(payloads)
         assert latest["replay"]["rates"]["lru"] == 3.0
-        assert latest["serve"]["rates"]["lru"] == 2.0
+        assert latest["objcache"]["rates"]["lru"] == 2.0
 
     def test_format_history_renders_rates_checks_and_damage(self, tmp_path):
         rows = format_history(
@@ -105,11 +105,11 @@ class TestResolveBaseline:
         (tmp_path / "BENCH_replay.json").write_text(
             json.dumps(payload(rates={"lru": 10.0}))
         )
-        (tmp_path / "BENCH_serve.json").write_text(
-            json.dumps(payload(bench="serve", rates={"lru": 20.0}))
+        (tmp_path / "BENCH_objcache.json").write_text(
+            json.dumps(payload(bench="objcache", rates={"lru": 20.0}))
         )
         baseline, notes = resolve_baseline(tmp_path)
-        assert set(baseline) == {"replay", "serve"}
+        assert set(baseline) == {"replay", "objcache"}
         assert notes == []
 
     def test_from_history_takes_latest_and_notes_damage(self, tmp_path):
@@ -181,13 +181,13 @@ class TestCompare:
         baseline = {"replay": payload(rates={"lru": 1000.0})}
         current = {
             "replay": payload(rates={"lru": 1000.0, "rlr": 5.0}),
-            "serve": payload(bench="serve", rates={"lru": 5.0}),
+            "objcache": payload(bench="objcache", rates={"lru": 5.0}),
         }
         report = compare(current, baseline)
         assert report.ok
         news = {(row.bench, row.key)
                 for row in report.rows if row.status == "new"}
-        assert news == {("replay", "rlr"), ("serve", "lru")}
+        assert news == {("replay", "rlr"), ("objcache", "lru")}
 
     def test_tolerance_overrides_every_family_threshold(self):
         baseline = {"replay": payload(rates={"lru": 1000.0})}

@@ -6,6 +6,7 @@ absolute rates, which are machine noise by definition.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from repro.cli import main
 from repro.eval.bench import write_bench
 from repro.eval.bench_history import append_history
 from repro.sanitize.preflight import validate_bench_file
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 TINY_REPLAY = {
     "workload": "429.mcf", "scale": 64, "trace_length": 1000, "seed": 7,
@@ -24,7 +27,6 @@ TINY_OBJCACHE = {
     "capacity_bytes": 300_000, "policies": ("lru", "rlr"),
     "admissions": ("freq_gate",),
 }
-TINY_SERVE = {"requests": 15, "policies": ("lru",)}
 TINY_TRAIN = {
     "workload": "429.mcf", "scale": 64, "trace_length": 600, "seed": 7,
     "hidden_size": 8, "epochs": 1,
@@ -73,19 +75,6 @@ class TestObjcacheFamily:
         assert gated["admission"]["seconds"] >= 0.0
 
 
-class TestServeFamily:
-    def test_round_trip_latency_percentiles_and_transport_phase(self):
-        payload = bench_mod.bench_serve(repeats=1, spec=TINY_SERVE)
-        assert_observatory_envelope(payload, "serve")
-        assert payload["rates"]["lru"] > 0
-        assert set(payload["latency_us"]["lru"]) == {"p50", "p90", "p99"}
-        latencies = payload["latency_us"]["lru"]
-        assert latencies["p50"] <= latencies["p90"] <= latencies["p99"]
-        phases = payload["phases"]["lru"]["phases"]
-        assert phases["transport"]["seconds"] > 0
-        assert payload["phases"]["lru"]["accesses"] == TINY_SERVE["requests"]
-
-
 class TestTrainFamily:
     def test_one_epoch_records_per_second(self):
         payload = bench_mod.bench_train(repeats=1, spec=TINY_TRAIN)
@@ -100,7 +89,7 @@ class TestOverheadFamily:
         assert_observatory_envelope(payload, "overhead")
         assert set(payload["checks"]) == {
             "telemetry_hooks_disabled", "decision_observer_loop",
-            "profiled_disabled_identity", "sanitize_off_identity",
+            "telemetry_disabled_identity", "sanitize_off_identity",
             "profiler_parity",
         }
         for name, check in payload["checks"].items():
@@ -109,14 +98,6 @@ class TestOverheadFamily:
 
 
 class TestHelpers:
-    def test_nearest_rank_is_count_based(self):
-        values = list(range(1, 11))
-        assert bench_mod._nearest_rank(values, 50) == 5
-        assert bench_mod._nearest_rank(values, 90) == 9
-        assert bench_mod._nearest_rank(values, 99) == 10
-        assert bench_mod._nearest_rank([42], 50) == 42
-        assert bench_mod._nearest_rank([], 99) == 0.0
-
     def test_git_state_shape(self):
         state = bench_mod._git_state()
         assert set(state) == {"sha", "dirty"}
@@ -143,6 +124,18 @@ class TestValidateBench:
         text = report.format()
         assert "unknown bench name" in text
         assert "newer than this checkout" in text or "schema" in text
+
+    def test_committed_baselines_validate_clean(self):
+        """The committed ``BENCH_*.json`` files and history name only
+        benches in ``BENCHES``: a leftover family fails here, not silently
+        in ``bench --compare``."""
+        paths = sorted(REPO_ROOT.glob("BENCH_*.json"))
+        assert {path.name for path in paths} == {
+            filename for _, filename in bench_mod.BENCHES.values()
+        }
+        for path in paths + [REPO_ROOT / "BENCH_history.jsonl"]:
+            report = validate_bench_file(path)
+            assert report.ok and not report.warnings, report.format()
 
     def test_history_with_damage_fails_validation(self, tmp_path):
         path = tmp_path / "BENCH_history.jsonl"

@@ -169,6 +169,13 @@ class TestSweepMetrics:
         assert validate_metrics(payload) == []
         assert payload["kind"] == "sweep"
         assert payload["meta"]["run_id"] == "run-0001"
+        from repro.telemetry.spans import read_spans
+
+        loops = [span for span in read_spans(run_dir / "spans.jsonl")
+                 if span["name"] in ("prepare_workload", "replay")]
+        assert {span["name"] for span in loops} == {"prepare_workload",
+                                                    "replay"}
+        assert all(span["attrs"]["records"] > 0 for span in loops)
 
     def test_prep_cache_summary_always_printed(self, capsys, tmp_path):
         # Even without --metrics, the end-of-run summary reports the

@@ -2,7 +2,7 @@
 
 Every cell of the matrix injects one corruption — a torn write or bit
 flip through the atomic-write fault plane (site ``"atomic-write"``), or a
-post-write truncation — into one of the six durable artifact families and
+post-write truncation — into one of the five durable artifact families and
 demands the same two-part outcome:
 
 1. **detected** — the family's strict reader raises a typed error and/or
@@ -16,7 +16,6 @@ Run in CI as the ``fsck-chaos`` job (see ``docs/reliability.md``).
 """
 
 import json
-import pickle
 
 import pytest
 
@@ -30,16 +29,8 @@ from repro.runs.checkpoint import (
 )
 from repro.runs.supervisor import create_run
 from repro.scenarios.golden import read_golden, write_golden
-from repro.serve.snapshot import (
-    SNAPSHOT_FAMILY,
-    SNAPSHOT_VERSION,
-    SnapshotError,
-    load_server_snapshot,
-)
-from repro.serve.snapshot import _fingerprint as snapshot_fingerprint
 from repro.store.errors import ArtifactCorruptionError
 from repro.store.fsck import fsck_path
-from repro.store.frames import write_artifact
 from repro.telemetry.decisions import read_decision_log, write_decisions_jsonl
 from repro.testing.faults import FaultSpec, clear_faults, injected_faults
 
@@ -102,30 +93,6 @@ class TestCheckpointFamily:
             _write_with_fault(tmp_path, fault, lambda: self._save(path))
         with pytest.raises(CheckpointError, match="integrity check"):
             load_training_checkpoint(path)
-        assert fsck_path(path).exit_code() == 1
-        _assert_recovered(path.parent)
-
-
-class TestSnapshotFamily:
-    def _save(self, path):
-        body = pickle.dumps({"tenants": {}, "victims_served": 3},
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        payload = {"version": SNAPSHOT_VERSION,
-                   "fingerprint": snapshot_fingerprint(body), "body": body}
-        write_artifact(path, SNAPSHOT_FAMILY,
-                       pickle.dumps(payload, pickle.HIGHEST_PROTOCOL),
-                       version=SNAPSHOT_VERSION)
-
-    @pytest.mark.parametrize("fault", FAULTS)
-    def test_detected_and_recovered(self, tmp_path, fault):
-        path = tmp_path / "serve-snapshot.pkl"
-        if fault == "truncation":
-            self._save(path)
-            _corrupt_in_place(path, fault)
-        else:
-            _write_with_fault(tmp_path, fault, lambda: self._save(path))
-        with pytest.raises(SnapshotError, match="integrity check"):
-            load_server_snapshot(path)
         assert fsck_path(path).exit_code() == 1
         _assert_recovered(path.parent)
 

@@ -63,7 +63,7 @@ class TestReplayBench:
 class TestRegistry:
     def test_benches_map_names_to_committed_files(self):
         assert set(bench_mod.BENCHES) == {
-            "objcache", "replay", "serve", "train", "overhead"
+            "objcache", "replay", "train", "overhead"
         }
         for run, filename in bench_mod.BENCHES.values():
             assert callable(run)

@@ -21,6 +21,7 @@ from repro.objcache import (
 )
 from repro.objcache.admission import make_admission
 from repro.telemetry.perf import (
+    ENGINES,
     PHASES,
     PhaseProfile,
     capture_collapsed,
@@ -47,9 +48,12 @@ def object_trace():
 
 
 class TestPhaseProfile:
-    def test_rejects_unknown_engine(self):
+    @pytest.mark.parametrize("engine", ["gpu", "train", "serve"])
+    def test_rejects_unknown_engine(self, engine):
+        """Only engines ``finish()`` can attribute are accepted: a profile
+        that derived no phases would fail reconciliation later instead."""
         with pytest.raises(ValueError, match="unknown profile engine"):
-            PhaseProfile("gpu")
+            PhaseProfile(engine)
 
     def test_subtractive_derivation_reconciles_exactly(self):
         profile = PhaseProfile("replay")
@@ -68,15 +72,6 @@ class TestPhaseProfile:
         assert sum(phases.values()) == pytest.approx(1.5)
         assert profile.reconciliation()["relative_error"] == 0.0
 
-    def test_serve_engine_attributes_remainder_to_transport(self):
-        profile = PhaseProfile("serve")
-        profile.accesses = 100
-        profile.raw["victim"] = 0.2
-        profile.finish(1.0)
-        assert profile.phases["transport"] == pytest.approx(0.8)
-        assert profile.phases["victim_scoring"] == pytest.approx(0.2)
-        assert profile.calls["transport"] == 100
-
     def test_negative_residues_clamp_to_zero(self):
         profile = PhaseProfile("replay")
         profile.accesses = 1
@@ -87,7 +82,7 @@ class TestPhaseProfile:
         assert profile.phases["trace_decode"] == 0.0
 
     def test_phase_names_stay_inside_the_taxonomy(self):
-        for engine in ("replay", "objcache", "serve"):
+        for engine in ENGINES:
             profile = PhaseProfile(engine)
             profile.finish(0.0)
             assert set(profile.phases) <= set(PHASES)
@@ -231,7 +226,7 @@ class TestStructureDeterminism:
         assert profile.structure_digest() == digest
 
     def test_unknown_cell_engine_raises(self):
-        with pytest.raises(ValueError, match="cannot run engine"):
+        with pytest.raises(ValueError, match="unknown profile engine"):
             profile_structures([{"engine": "serve"}], jobs=1)
 
 

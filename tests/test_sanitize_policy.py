@@ -79,8 +79,8 @@ class TestResolveMode:
 
 class TestWrapPolicy:
     def test_off_mode_is_structural_identity(self):
-        # Mirrors the telemetry profiled() guarantee: disabled means the
-        # exact same object, not a cheap wrapper.
+        # Mirrors telemetry's shared span/registry null objects: disabled
+        # means the exact same object, not a cheap wrapper.
         policy = make_policy("lru")
         assert wrap_policy(policy, "off") is policy
 
@@ -359,9 +359,9 @@ class TestSweepDegradation:
 class TestConcurrentDegradation:
     """Degradation must be idempotent and atomic under interleaved evicts.
 
-    The serve decide loop and replay workers can race a violating policy
-    from several threads; the violation must be recorded exactly once and
-    the degrade flip must never tear (hooks half-swapped).
+    Threads sharing one wrapper can race a violating policy; the
+    violation must be recorded exactly once and the degrade flip must
+    never tear (hooks half-swapped).
     """
 
     def _racing_wrapper(self):

@@ -1,8 +1,6 @@
-"""Tests for metrics.json, validation, rendering, and the Prometheus exporter."""
+"""Tests for metrics.json, validation, rendering, and Prometheus text."""
 
 import json
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -12,7 +10,6 @@ from repro.telemetry.export import (
     load_metrics_json,
     payload_digest,
     render_metrics,
-    start_http_exporter,
     to_prometheus,
     validate_metrics,
     write_metrics_json,
@@ -162,132 +159,3 @@ class TestPrometheus:
 
     def test_ends_with_newline(self):
         assert to_prometheus(_sample_payload()).endswith("\n")
-
-
-class TestHTTPExporter:
-    def test_serves_metrics_endpoint(self):
-        payload = _sample_payload()
-        server, thread = start_http_exporter(lambda: payload)
-        try:
-            port = server.server_address[1]
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/metrics", timeout=5
-            ) as response:
-                body = response.read().decode("utf-8")
-                content_type = response.headers["Content-Type"]
-            assert "repro_sweep_cells_ok_total 4" in body
-            assert "0.0.4" in content_type
-        finally:
-            server.shutdown()
-            thread.join(timeout=5)
-
-    def test_unknown_path_404(self):
-        server, thread = start_http_exporter(_sample_payload)
-        try:
-            port = server.server_address[1]
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{port}/nope", timeout=5
-                )
-        finally:
-            server.shutdown()
-            thread.join(timeout=5)
-
-    def test_live_payload_function(self):
-        registry = MetricsRegistry()
-        server, thread = start_http_exporter(
-            lambda: build_payload("train", registry.snapshot())
-        )
-        try:
-            port = server.server_address[1]
-            registry.counter("rl.epochs").inc(3)
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/metrics", timeout=5
-            ) as response:
-                body = response.read().decode("utf-8")
-            assert "repro_rl_epochs_total 3" in body
-        finally:
-            server.shutdown()
-            thread.join(timeout=5)
-
-
-class TestHttpExporterLifecycle:
-    """The exporter handle: explicit port, close(), context manager."""
-
-    def test_returns_a_handle_with_the_bound_port(self):
-        exporter = start_http_exporter(_sample_payload)
-        try:
-            assert exporter.host == "127.0.0.1"
-            assert exporter.port == exporter.server.server_address[1]
-            assert exporter.port > 0
-        finally:
-            exporter.close()
-
-    def test_legacy_tuple_unpacking_still_works(self):
-        server, thread = start_http_exporter(_sample_payload)
-        try:
-            assert server.server_address[1] > 0
-            assert thread.is_alive()
-        finally:
-            server.shutdown()
-            thread.join(timeout=5)
-
-    def test_close_shuts_down_and_joins(self):
-        exporter = start_http_exporter(_sample_payload)
-        exporter.close()
-        assert not exporter.thread.is_alive()
-        # close() is idempotent.
-        exporter.close()
-
-    def test_context_manager_closes_on_exit(self):
-        with start_http_exporter(_sample_payload) as exporter:
-            port = exporter.port
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/metrics", timeout=5
-            ) as response:
-                assert response.status == 200
-        assert not exporter.thread.is_alive()
-
-    def test_port_in_use_raises_a_clear_oserror(self):
-        first = start_http_exporter(_sample_payload)
-        try:
-            with pytest.raises(OSError, match="could not bind"):
-                start_http_exporter(_sample_payload, port=first.port)
-            try:
-                start_http_exporter(_sample_payload, port=first.port)
-            except OSError as error:
-                assert "port=0" in str(error)  # the remedy is in the message
-        finally:
-            first.close()
-
-
-class TestHealthEndpoint:
-    def test_healthy_payload_serves_200(self):
-        with start_http_exporter(
-            _sample_payload, health_fn=lambda: {"ok": True, "detail": "fine"}
-        ) as exporter:
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{exporter.port}/healthz", timeout=5
-            ) as response:
-                body = json.loads(response.read())
-                assert response.status == 200
-            assert body["ok"] is True
-            assert body["detail"] == "fine"
-
-    def test_unhealthy_payload_serves_503(self):
-        with start_http_exporter(
-            _sample_payload, health_fn=lambda: {"ok": False}
-        ) as exporter:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{exporter.port}/healthz", timeout=5
-                )
-            assert excinfo.value.code == 503
-
-    def test_no_health_fn_means_404(self):
-        with start_http_exporter(_sample_payload) as exporter:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(
-                    f"http://127.0.0.1:{exporter.port}/healthz", timeout=5
-                )
-            assert excinfo.value.code == 404

@@ -4,8 +4,8 @@ The acceptance bound is <2% overhead on the hot loops with telemetry
 disabled.  Rather than race two wall-clock measurements (flaky under CI
 load), these tests prove the property the implementation is built on —
 the disabled path executes the *identical* hot-loop code — and then bound
-the cost of the only thing that remains: one ``profiled()`` + one
-``span()`` call per loop, not per iteration.
+the cost of the only thing that remains: one ``span()`` call per loop, not
+per iteration.
 """
 
 import time
@@ -14,21 +14,11 @@ import timeit
 from repro import telemetry
 from repro.eval.runner import prepare_workload, replay
 from repro.eval.workloads import EvalConfig
-from repro.telemetry.profiling import profiled
 from repro.telemetry.registry import NULL_REGISTRY
 from repro.telemetry.spans import NULL_SPAN
 
 
 class TestDisabledPathIsStructurallyFree:
-    def test_profiled_is_identity(self):
-        """Disabled ``profiled`` returns the argument itself: the ``for``
-        loop binds the exact same object telemetry-free code would."""
-        assert not telemetry.is_enabled()
-        items = [1, 2, 3]
-        assert profiled(items, "replay") is items
-        generator = (x for x in items)
-        assert profiled(generator, "replay") is generator
-
     def test_span_is_shared_null_object(self):
         assert telemetry.span("replay", workload="w") is NULL_SPAN
         assert telemetry.span("other") is NULL_SPAN
@@ -42,27 +32,15 @@ class TestDisabledPathIsStructurallyFree:
             "counters": {}, "gauges": {}, "histograms": {},
         }
 
-    def test_enabled_profiled_yields_same_items(self):
-        """The enabled wrapper is transparent to the loop body."""
-        telemetry.configure(registry=telemetry.MetricsRegistry())
-        try:
-            items = list(range(100))
-            assert list(profiled(items, "loop-test")) == items
-            totals = telemetry.loop_totals()
-            assert totals["loop-test"]["iterations"] == 100
-            assert totals["loop-test"]["loops"] == 1
-        finally:
-            telemetry.shutdown()
-
 
 class TestDisabledOverheadBound:
     def test_hook_cost_under_two_percent_of_replay(self):
         """The per-loop hook cost is <2% of one (tiny) replay.
 
-        ``replay`` makes exactly one ``span()`` and one ``profiled()`` call
-        per invocation.  Bound their combined cost against the smallest
-        realistic unit of work the sweep engine ever schedules; on real
-        workloads (thousands of times larger) the ratio only shrinks.
+        ``replay`` makes exactly one ``span()`` call per invocation.  Bound
+        its cost against the smallest realistic unit of work the sweep
+        engine ever schedules; on real workloads (thousands of times
+        larger) the ratio only shrinks.
         """
         eval_config = EvalConfig(scale=64, trace_length=1500, seed=7)
         prepared = prepare_workload(eval_config, eval_config.trace("429.mcf"))
@@ -75,9 +53,7 @@ class TestDisabledOverheadBound:
 
         calls = 2000
         hook_seconds = timeit.timeit(
-            lambda: (telemetry.span("replay", workload="w"),
-                     profiled((), "replay")),
-            number=calls,
+            lambda: telemetry.span("replay", workload="w"), number=calls,
         ) / calls
 
         assert hook_seconds < 0.02 * replay_seconds, (
