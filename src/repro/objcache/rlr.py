@@ -27,14 +27,19 @@ keep what wins byte-hit-rate.
 
 Like production samplers (and unlike the 16-way CPU cache where scanning
 the whole set is free), the victim scan examines the ``sample`` least
-recently used residents rather than the full store.
+recently used residents rather than the full store.  Only ``P_age`` depends
+on the eviction's ``now``: ``P_type``, ``P_hit`` and the size term are fixed
+between an object's admission and its next hit, so the policy computes them
+in those two hooks and the scan adds ``P_age`` alone.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.core.rd_estimator import ReuseDistanceEstimator
 
-from .core import MAX_SIZE_BUCKET, size_bucket
+from .core import size_bucket
 from .policies import ObjectEvictionPolicy, register_object_policy
 
 #: Size-bucket weight the bundled trainer settles on for the golden Zipfian
@@ -42,6 +47,7 @@ from .policies import ObjectEvictionPolicy, register_object_policy
 DEFAULT_SIZE_WEIGHT = 16
 
 PRIORITY_SCALE = 16
+AGE_PRIORITY = 8 * PRIORITY_SCALE
 
 
 class ObjectRLRPolicy(ObjectEvictionPolicy):
@@ -64,55 +70,43 @@ class ObjectRLRPolicy(ObjectEvictionPolicy):
         self.sample = sample
         self.name = "rlr_size" if size_weight else "rlr"
         self.rd = ReuseDistanceEstimator(log2_hits=log2_hits, initial_rd=0)
-        self._order = {}  # key -> None, LRU -> MRU
-        self._last_seen = {}  # key -> position of its previous access
+        # key -> (last access, priority without P_age), LRU -> MRU.  Every
+        # request admits or hits at most one object, at its own ``now``, so
+        # the stamps strictly increase along the order.
+        self._order = {}
+
+    def _static(self, obj) -> int:
+        """``P_type + P_hit`` and the size term: fixed until the next hit."""
+        score = PRIORITY_SCALE * (obj.seen_before + (obj.hits > 0))
+        return score - self.size_weight * size_bucket(obj.size)
 
     def on_admit(self, obj, now):
-        self._order[obj.key] = None
-        self._last_seen[obj.key] = now
+        self._order[obj.key] = (now, self._static(obj))
 
     def on_hit(self, obj, now):
         # The cache updates obj.last_access before calling on_hit, so the
         # preuse distance (gap between consecutive accesses) comes from the
-        # policy's own last-seen table, exactly like the age counters RLR
-        # samples in hardware.
-        previous = self._last_seen.get(obj.key)
-        if previous is not None:
-            self.rd.record_demand_hit(now - previous)
-        self._last_seen[obj.key] = now
-        del self._order[obj.key]
-        self._order[obj.key] = None
+        # policy's own stamp, exactly like the age counters RLR samples in
+        # hardware.
+        previous, _ = self._order.pop(obj.key)
+        self.rd.record_demand_hit(now - previous)
+        self._order[obj.key] = (now, self._static(obj))
 
     def on_evict(self, obj, now):
         self._order.pop(obj.key, None)
-        self._last_seen.pop(obj.key, None)
-
-    def priority(self, obj, now: int) -> int:
-        score = 0
-        if obj.age(now) <= self.rd.rd:
-            score += 8  # P_age: inside the reuse window — protect
-        if obj.seen_before:
-            score += 1  # P_type: re-admitted, not a one-hit wonder
-        if obj.hits > 0:
-            score += 1  # P_hit
-        return score * PRIORITY_SCALE - self.size_weight * size_bucket(
-            obj.size
-        )
 
     def victim(self, residents, incoming, now):
-        best_key = None
-        best_rank = None
-        for index, key in enumerate(self._order):
-            if index >= self.sample:
-                break
-            obj = residents[key]
-            # Lowest priority first; ties evict the *most recent* candidate
-            # (paper Fig. 7: RLR skews victims toward recent lines), which
-            # the scan order makes the highest index.
-            rank = (self.priority(obj, now), -obj.last_access, key)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_key = key
+        # P_age (8, scaled) protects ages <= RD, i.e. stamps >= now - RD.
+        # Lowest priority goes; ties evict the *most recent* candidate
+        # (paper Fig. 7: RLR skews victims toward recent lines), which is
+        # the later one in scan order, hence ``<=``.
+        horizon = now - self.rd.rd
+        best_key = best = None
+        for key, (stamp, score) in islice(self._order.items(), self.sample):
+            if stamp >= horizon:
+                score += AGE_PRIORITY
+            if best is None or score <= best:
+                best_key, best = key, score
         return best_key
 
 

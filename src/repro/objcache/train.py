@@ -63,10 +63,10 @@ class TrainResult:
         }
 
 
-def evaluate_weight(trace, capacity_bytes: int, weight: int,
-                    sample: int = 64) -> WeightEvaluation:
+def evaluate_weight(trace, capacity_bytes: int,
+                    weight: int) -> WeightEvaluation:
     """Replay the training trace with one candidate weight."""
-    policy = ObjectRLRPolicy(size_weight=weight, sample=sample)
+    policy = ObjectRLRPolicy(size_weight=weight)
     cache = ObjectCache(capacity_bytes, policy)
     extractor = ObjectFeatureExtractor(
         enabled=("obj_size", "obj_log2_size", "obj_age", "obj_hits")
@@ -97,8 +97,7 @@ def evaluate_weight(trace, capacity_bytes: int, weight: int,
 
 
 def train_size_weight(trace, capacity_bytes: int,
-                      weights=DEFAULT_WEIGHT_GRID,
-                      sample: int = 64) -> TrainResult:
+                      weights=DEFAULT_WEIGHT_GRID) -> TrainResult:
     """Grid-search ``size_weight`` on a training trace (deterministic)."""
     history = []
     baseline = None
@@ -107,8 +106,7 @@ def train_size_weight(trace, capacity_bytes: int,
     if 0 not in grid:
         grid.insert(0, 0)  # the size-agnostic baseline is always measured
     for weight in grid:
-        evaluation = evaluate_weight(trace, capacity_bytes, weight,
-                                     sample=sample)
+        evaluation = evaluate_weight(trace, capacity_bytes, weight)
         history.append(evaluation)
         if weight == 0:
             baseline = evaluation

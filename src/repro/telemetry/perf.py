@@ -11,9 +11,7 @@ phase                  meaning
                        warm-up bookkeeping, cycle accumulation)
 ``tag_lookup``         ``cache.access`` minus everything attributed below
                        (set indexing, tag match, recency/stats maintenance)
-``victim_scoring``     ``policy.victim`` minus feature extraction
-``feature_extraction`` separable per-candidate scoring (``priority`` on the
-                       object-cache policies; zero where scoring is inlined)
+``victim_scoring``     ``policy.victim``
 ``policy_update``      the ``on_hit``/``on_miss``/``on_evict``/``on_fill``
                        (``on_admit`` for objcache) policy hooks
 ``admission``          admission ``record`` + ``admit`` (objcache only)
@@ -46,7 +44,6 @@ PHASES = (
     "trace_decode",
     "tag_lookup",
     "victim_scoring",
-    "feature_extraction",
     "policy_update",
     "admission",
     "telemetry",
@@ -75,7 +72,6 @@ class PhaseProfile:
         self.raw = {
             "access": 0.0,
             "victim": 0.0,
-            "feature": 0.0,
             "hooks": 0.0,
             "observers": 0.0,
             "admission": 0.0,
@@ -103,8 +99,7 @@ class PhaseProfile:
         phases = {
             "trace_decode": max(0.0, self.loop_seconds - raw["access"]),
             "tag_lookup": max(0.0, raw["access"] - inside_access),
-            "victim_scoring": max(0.0, raw["victim"] - raw["feature"]),
-            "feature_extraction": raw["feature"],
+            "victim_scoring": raw["victim"],
             "policy_update": raw["hooks"],
             "telemetry": raw["observers"],
         }
@@ -270,27 +265,11 @@ def make_profiled_cache(config, policy, profile, **kwargs):
 
 
 class _TimedObjectPolicy:
-    """Timing proxy for object policies; also taps separable ``priority``.
-
-    ``priority`` (the per-candidate scoring RLR/GDSF run inside ``victim``)
-    is patched *on the wrapped instance* so the policy's own internal calls
-    route through the timer — that is what makes ``feature_extraction``
-    separable from ``victim_scoring``.
-    """
+    """Timing proxy for object policies (``victim`` and the lifecycle hooks)."""
 
     def __init__(self, inner, profile: PhaseProfile) -> None:
         self._inner = inner
         self._profile = profile
-        original = getattr(inner, "priority", None)
-        if callable(original):
-            def timed_priority(obj, now):
-                started = time.perf_counter()
-                score = original(obj, now)
-                profile.raw["feature"] += time.perf_counter() - started
-                profile.count("feature_extraction")
-                return score
-
-            inner.priority = timed_priority
 
     def __getattr__(self, name):
         return getattr(self._inner, name)

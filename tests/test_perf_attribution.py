@@ -58,14 +58,13 @@ class TestPhaseProfile:
     def test_subtractive_derivation_reconciles_exactly(self):
         profile = PhaseProfile("replay")
         profile.accesses = 10
-        profile.raw.update(access=1.0, victim=0.4, feature=0.1, hooks=0.2,
+        profile.raw.update(access=1.0, victim=0.4, hooks=0.2,
                            observers=0.05, admission=0.0)
         profile.finish(1.5)
         phases = profile.phases
         assert phases["trace_decode"] == pytest.approx(0.5)
         assert phases["tag_lookup"] == pytest.approx(0.35)
-        assert phases["victim_scoring"] == pytest.approx(0.3)
-        assert phases["feature_extraction"] == pytest.approx(0.1)
+        assert phases["victim_scoring"] == pytest.approx(0.4)
         assert phases["policy_update"] == pytest.approx(0.2)
         assert phases["telemetry"] == pytest.approx(0.05)
         assert "admission" not in phases  # replay engine has no gate
@@ -124,7 +123,7 @@ class TestReplayParity:
         report = profile.as_dict()
         assert set(report["phases"]) == {
             "trace_decode", "tag_lookup", "victim_scoring",
-            "feature_extraction", "policy_update", "telemetry",
+            "policy_update", "telemetry",
         }
         victims = report["phases"]["victim_scoring"]["calls"]
         assert victims > 0  # evictions happened, each one scored
@@ -177,18 +176,22 @@ class TestObjectCacheParity:
         assert profile.calls["admission"] > 0
         assert profile.phases["admission"] > 0.0
 
-    def test_separable_priority_lands_in_feature_extraction(
-        self, object_trace
-    ):
+    def test_rlr_calls_land_in_their_phases(self, object_trace):
+        """Each eviction is one ``victim_scoring`` call, each admission,
+        hit and eviction one ``policy_update`` call."""
         profile = PhaseProfile("objcache")
         cache = make_profiled_object_cache(
             500_000, make_object_policy("rlr"), profile
         )
-        cache.replay(object_trace.requests)
-        assert profile.calls["feature_extraction"] > 0
-        assert profile.phases["feature_extraction"] > 0.0
-        # Exclusive split: victim minus its inner feature work.
-        assert profile.phases["victim_scoring"] >= 0.0
+        decisions = []
+        cache.add_decision_observer(lambda *args: decisions.append(args))
+        stats = cache.replay(object_trace.requests)
+        assert decisions  # the capacity forces evictions
+        assert profile.calls["victim_scoring"] == len(decisions)
+        assert profile.calls["policy_update"] == (
+            stats.admitted + stats.hits + stats.evictions
+        )
+        assert profile.reconciliation()["relative_error"] <= 0.01
 
 
 CELLS = (
