@@ -13,7 +13,10 @@ from typing import NamedTuple
 
 from repro.cache.cache_set import CacheSet
 from repro.cache.replacement.base import BYPASS
+from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.stats import CacheStats
+from repro.sanitize import resolve_mode
+from repro.sanitize.errors import PolicyContractError
 
 
 class AccessResult(NamedTuple):
@@ -39,9 +42,19 @@ BYPASSED = AccessResult(hit=False, bypassed=True)
 class Cache:
     """A single cache level.
 
+    The cache checks the policy's contract where it uses the answer: the
+    way ``victim`` returns must be in ``range(ways)``, or :data:`BYPASS`
+    when ``allow_bypass`` is set (anything else, ``None`` included, is out
+    of range).  The sanitizer mode decides what a violation does:
+    ``strict`` raises :class:`~repro.sanitize.errors.PolicyContractError`;
+    ``normal`` records it in :attr:`violations` once and swaps in LRU
+    (the set's own recency stack) for the rest of the run, so the
+    offending policy gets no further hook calls; ``off`` records nothing.
+
     Args:
         config: Cache geometry (:class:`repro.cache.config.CacheConfig`).
-        policy: A replacement policy instance; ``bind`` is called here.
+        policy: A replacement policy instance, already bound to ``config``
+            by the caller (the cache never calls ``bind``).
         allow_bypass: Honour :data:`BYPASS` returned by the policy.  When
             False a bypass request falls back to LRU eviction.
         detailed: Maintain the full Table II per-line metadata (preuse,
@@ -50,10 +63,8 @@ class Cache:
             ``needs_line_metadata = False`` run with ``detailed=False``,
             where a fill writes only the line's identity, dirty bit and
             age stamps.  Ages and recency ranks are exact either way.
-        sanitize: Contract-sanitizer mode for the policy ("off" / "normal" /
+        sanitize: What a contract violation does ("off" / "normal" /
             "strict"; None = ``REPRO_SANITIZE`` or the package default).
-            See :func:`repro.sanitize.wrap_policy`; wrapping is idempotent,
-            so a pre-wrapped policy is used as-is.
     """
 
     def __init__(
@@ -64,14 +75,13 @@ class Cache:
         detailed: bool = True,
         sanitize: str = None,
     ) -> None:
-        # Imported lazily: repro.sanitize pulls in the replacement-policy
-        # base module, whose package __init__ imports this module.
-        from repro.sanitize import wrap_policy
-
         self.config = config
-        self.policy = wrap_policy(policy, mode=sanitize, allow_bypass=allow_bypass)
+        self.policy = policy
         self.allow_bypass = allow_bypass
         self.detailed = detailed
+        self.sanitize = resolve_mode(sanitize)
+        self.violations = []  #: recorded contract-violation messages
+        self._ways = range(config.ways)
         num_sets = config.num_sets
         self._set_mask = num_sets - 1
         self._tag_shift = (num_sets - 1).bit_length()
@@ -152,11 +162,12 @@ class Cache:
             result = MISS
         else:
             way = policy.victim(set_index, cache_set, access)
-            if way == BYPASS:
-                if self.allow_bypass:
+            if way not in self._ways:
+                if way == BYPASS and self.allow_bypass:
                     stats.bypasses += 1
                     return BYPASSED
-                way = cache_set.lru_way()
+                way = self._reject_victim(cache_set, way)
+                policy = self.policy
             victim_line = cache_set.lines[way]
             for callback in self.decision_observers:
                 callback(cache_set, way, victim_line, access)
@@ -181,6 +192,45 @@ class Cache:
             stack[tag] = way
         policy.on_fill(set_index, way, line, access)
         return result
+
+    # -- contract violations ------------------------------------------------
+
+    def _reject_victim(self, cache_set, way):
+        """The way to evict instead of ``way``, which is not in ``range(ways)``
+        and not an authorised BYPASS."""
+        if self.sanitize == "off":
+            # Unchecked: an unauthorised BYPASS still falls back to LRU and
+            # any other answer is used as returned.
+            return cache_set.lru_way() if way == BYPASS else way
+        if way == BYPASS:
+            detail = "returned BYPASS but the cache does not allow bypass"
+        else:
+            detail = f"victim way {way!r} outside range(ways={cache_set.ways})"
+        self._violate(cache_set.index, detail)
+        return cache_set.lru_way()
+
+    def _violate(self, set_index: int, detail: str) -> None:
+        """Record a violation; raise in strict mode, else degrade to LRU."""
+        # Imported lazily: violations are rare, and `import repro` does not
+        # otherwise load the telemetry modules.
+        from repro.telemetry import get_registry
+        from repro.telemetry.decisions import active_trace
+
+        policy = self.policy
+        name = str(getattr(policy, "name", policy.__class__.__name__))
+        error = PolicyContractError(name, detail, set_index=set_index)
+        self.violations.append(str(error))
+        get_registry().counter("sanitize.policy_violations", policy=name).inc()
+        trace = active_trace()
+        if trace is not None:
+            trace.record_violation(name, detail, set_index)
+        if self.sanitize == "strict":
+            raise error
+        # LRU needs no state beyond the set's recency stack; it keeps the
+        # policy's name so results still name the policy the caller passed.
+        fallback = LRUPolicy()
+        fallback.name = name
+        self.policy = fallback
 
     # -- inspection helpers -------------------------------------------------
 

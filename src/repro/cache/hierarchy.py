@@ -62,13 +62,11 @@ class CacheHierarchy:
     @staticmethod
     def _make_level(cache_config) -> Cache:
         # Upper levels always use plain LRU, as in the paper's trace setup.
-        # The in-tree LRU is trusted, so skip the contract sanitizer here
-        # regardless of the run's mode (it is per-LLC-policy anyway).
         from repro.cache.replacement.lru import LRUPolicy
 
         policy = LRUPolicy()
         policy.bind(cache_config)
-        return Cache(cache_config, policy, detailed=False, sanitize="off")
+        return Cache(cache_config, policy, detailed=False)
 
     # -- public API ---------------------------------------------------------
 

@@ -9,15 +9,17 @@ exists for the RL agent and for analysis, not for hardware policies.
 Policies are registered by name in :data:`POLICY_REGISTRY` so the evaluation
 harness and benchmarks can instantiate them from strings.
 
-The contract (enforced by :class:`repro.sanitize.policy_guard.CheckedPolicy`
-unless the sanitizer is off — see docs/validation.md):
+The contract:
 
-* ``bind`` is called exactly once, before any other hook;
-* ``victim`` is only called on a *full* set and must return a way index in
-  ``range(self.ways)`` holding a valid line, or :data:`BYPASS` — and
-  :data:`BYPASS` only when the owning cache enables bypass;
-* every ``on_evict`` is followed by the ``on_fill`` installing the
-  replacement line before another eviction is requested.
+* the owner of the policy calls ``bind`` exactly once, before any other
+  hook (the cache itself never binds);
+* the cache calls ``victim`` only on a *full* set, and every ``on_evict``
+  is followed directly by the ``on_fill`` for the same set and way
+  (engine invariants, tested in tests/test_reference_model.py);
+* ``victim`` must return a way index in ``range(self.ways)``, or
+  :data:`BYPASS` only when the owning cache enables bypass.
+  :class:`~repro.cache.cache.Cache` checks this where it uses the answer,
+  unless the sanitizer is off — see docs/validation.md.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ class ReplacementPolicy(ABC):
     """Base class for all replacement policies.
 
     Subclasses must set :attr:`name` and implement :meth:`victim`.  All other
-    hooks default to no-ops.  ``bind`` is called exactly once by the cache
-    before any other hook.
+    hooks default to no-ops.  ``bind`` is called exactly once, by whoever
+    builds the cache, before any other hook.
     """
 
     #: Registry key; subclasses override.

@@ -133,9 +133,7 @@ class _RLRBase(ReplacementPolicy):
         order = sorted(range(self.num_cores), key=lambda c: self._core_hits[c])
         for rank, core in enumerate(order):
             self._core_priority[core] = min(rank, 3)
-        counter_max = (1 << self.core_counter_bits) - 1
         self._core_hits = [0] * self.num_cores
-        del counter_max  # counters reset each interval; saturation unused
 
     # -- policy hooks -------------------------------------------------------
 

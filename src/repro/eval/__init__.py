@@ -29,7 +29,6 @@ from repro.eval.runner import (
     record_llc_stream,
     run_belady,
     run_workload,
-    sweep,
 )
 from repro.eval.workloads import (
     EvalConfig,
@@ -72,5 +71,4 @@ __all__ = [
     "speedup_percent",
     "spec_mixes",
     "suite_names",
-    "sweep",
 ]

@@ -271,7 +271,6 @@ def bench_overhead(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
     from repro.cache.replacement import make_policy
     from repro.eval.runner import prepare_workload, replay
     from repro.eval.workloads import EvalConfig
-    from repro.sanitize import wrap_policy
     from repro.telemetry.perf import PhaseProfile
     from repro.telemetry.registry import NULL_REGISTRY
     from repro.telemetry.spans import NULL_SPAN
@@ -327,18 +326,6 @@ def bench_overhead(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
         and telemetry.get_registry() is NULL_REGISTRY
     )
     checks["telemetry_disabled_identity"] = {
-        "value": 1.0 if identity else 0.0, "budget": None, "ok": identity,
-        "unit": "identity",
-    }
-
-    # Sanitizer off-mode identity + idempotent re-wrap.
-    policy = make_policy("lru")
-    wrapped = wrap_policy(make_policy("lru"), mode="normal")
-    identity = (
-        wrap_policy(policy, mode="off") is policy
-        and wrap_policy(wrapped, mode="normal") is wrapped
-    )
-    checks["sanitize_off_identity"] = {
         "value": 1.0 if identity else 0.0, "budget": None, "ok": identity,
         "unit": "identity",
     }

@@ -42,6 +42,7 @@ Fault tolerance (the ``repro.runs`` reliability contract):
 
 from __future__ import annotations
 
+import copy
 import signal
 import threading
 import time
@@ -344,12 +345,12 @@ def _replay_task(
 ) -> CellResult:
     """Pass-2 work item; never raises (fault isolation per cell).
 
-    The policy is wrapped here (idempotently re-wrapped inside
-    :func:`replay`) so the task can read recorded contract violations off
-    the wrapper and mark the cell ``degraded``.  In strict mode a
-    violation raises :class:`~repro.sanitize.errors.PolicyContractError`
-    from inside the replay and lands in ``error`` like any other per-cell
-    failure.
+    A policy instance is replayed as a deep copy, so every cell starts from
+    the instance as the caller passed it, whichever process runs the cell.
+    The replay hands back the contract violations its cache recorded, which
+    mark the cell ``degraded``.  In strict mode a violation raises
+    :class:`~repro.sanitize.errors.PolicyContractError` from inside the
+    replay and lands in ``error`` like any other per-cell failure.
 
     ``decisions`` (an integer sample rate) attaches a graded
     :class:`~repro.telemetry.decisions.DecisionTrace` to the replay; its
@@ -357,9 +358,6 @@ def _replay_task(
     pure function of the deterministic replay, so the payload is identical
     whichever worker runs the cell.
     """
-    from repro.eval.runner import _instantiate
-    from repro.sanitize import CheckedPolicy, wrap_policy
-
     name = _policy_name(policy)
     started = time.perf_counter()
     try:
@@ -368,8 +366,8 @@ def _replay_task(
             policy = BeladyPolicy(
                 prepared.llc_line_stream, allow_bypass=allow_bypass
             )
-        policy = _instantiate(policy, prepared.num_cores)
-        policy = wrap_policy(policy, mode=sanitize, allow_bypass=allow_bypass)
+        elif not isinstance(policy, str):
+            policy = copy.deepcopy(policy)
         trace = None
         if decisions:
             from repro.rl.reward import FutureOracle
@@ -381,17 +379,15 @@ def _replay_task(
                 sample_rate=decisions,
                 oracle=FutureOracle(prepared.llc_line_stream),
             )
+        violations = []
         result = replay(
             prepared, policy, allow_bypass=allow_bypass, sanitize=sanitize,
-            decisions=trace,
+            decisions=trace, violations=violations,
         )
-        violations = ()
-        if isinstance(policy, CheckedPolicy):
-            violations = tuple(policy.violations)
         return CellResult(
             workload, name, result=result,
             seconds=time.perf_counter() - started,
-            violations=violations,
+            violations=tuple(violations),
             decisions=trace.cell_payload() if trace is not None else None,
         )
     except Exception:

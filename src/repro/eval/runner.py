@@ -30,7 +30,6 @@ from repro.cache.replacement.belady import BeladyPolicy
 from repro.cpu.core_model import TimingModel
 from repro.cpu.system import SystemResult
 from repro.eval.workloads import EvalConfig
-from repro.sanitize import wrap_policy
 from repro.telemetry import span
 from repro.testing.faults import maybe_fault
 from repro.traces.record import Trace
@@ -141,15 +140,16 @@ def replay(
     sanitize: str = None,
     decisions=None,
     profile=None,
+    violations: Optional[list] = None,
 ) -> SystemResult:
     """Replay the recorded LLC stream under ``policy``; compute IPC/stats.
 
     ``detailed`` forces Table II metadata maintenance on the replay cache
     (defaults to the policy's own ``needs_line_metadata``); ``observers`` are
     attached as decision observers (Figures 5-7 instrumentation).
-    ``sanitize`` selects the policy-contract sanitizer mode (see
-    :mod:`repro.sanitize`); wrapping here, before ``bind``, lets the
-    sanitizer observe the policy's full lifecycle.
+    ``sanitize`` selects what a policy-contract violation does (see
+    :class:`~repro.cache.cache.Cache`); when ``violations`` is a list, the
+    replay cache's recorded violations are appended to it.
 
     ``decisions`` is an optional
     :class:`repro.telemetry.decisions.DecisionTrace`: it is attached as an
@@ -166,7 +166,6 @@ def replay(
     hot loop runs the exact pre-profiler code path.
     """
     policy = _instantiate(policy, prepared.num_cores)
-    policy = wrap_policy(policy, mode=sanitize, allow_bypass=allow_bypass)
     if decisions is not None:
         from repro.telemetry.decisions import activate
 
@@ -222,6 +221,8 @@ def replay(
                     cycles[record.core] += stall_llc if result.hit else stall_mem
         if profile is not None:
             profile.finish(time.perf_counter() - loop_started)
+        if violations is not None:
+            violations.extend(cache.violations)
     finally:
         if decisions is not None:
             from repro.telemetry.decisions import deactivate
@@ -343,24 +344,3 @@ def compare_policies(
         belady = BeladyPolicy(prepared.llc_line_stream)
         results["belady"] = replay(prepared, belady)
     return results
-
-
-def sweep(
-    eval_config: EvalConfig,
-    workload_names,
-    policies,
-    include_belady: bool = False,
-    l2_prefetcher: Optional[str] = None,
-) -> dict:
-    """Run a suite sweep; returns {workload: {policy: SystemResult}}."""
-    table = {}
-    for name in workload_names:
-        trace = eval_config.trace(name)
-        table[name] = compare_policies(
-            eval_config,
-            trace,
-            policies,
-            include_belady=include_belady,
-            l2_prefetcher=l2_prefetcher,
-        )
-    return table

@@ -12,9 +12,23 @@ CPU side, with the two structural differences that motivate this subsystem:
 Observers registered via ``add_decision_observer`` see every eviction with
 the victim's full metadata *and the incoming request*, which is what the
 decision tracer needs to grade choices against the size-aware oracle.
+
+The cache checks its policy and admission hook where it uses their
+answers: the victim must be a resident key, the admission verdict a bool,
+and ``victim``/``record``/``admit`` must not raise.  The sanitizer mode
+decides what a violation does: ``strict`` raises
+:class:`~repro.sanitize.errors.PolicyContractError`; ``normal`` records it
+in :attr:`ObjectCache.violations` and swaps in LRU (the residents ordered
+by ``last_access``) for a broken policy, always-admit for a broken hook;
+``off`` runs both unchecked.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+from repro.sanitize import resolve_mode
+from repro.sanitize.errors import PolicyContractError
 
 from .admission import AdmissionHook, AlwaysAdmit
 from .core import (
@@ -24,7 +38,7 @@ from .core import (
     ObjectRequest,
     conservation_problems,
 )
-from .policies import ObjectEvictionPolicy
+from .policies import ObjectEvictionPolicy, ObjectLRUPolicy
 
 
 class ObjectCache:
@@ -35,10 +49,12 @@ class ObjectCache:
             be admitted and is counted as rejected.
         policy: an :class:`ObjectEvictionPolicy` (owned by this cache).
         admission: optional :class:`AdmissionHook`; defaults to always-admit.
+        sanitize: what a contract violation does ("off" / "normal" /
+            "strict"; None = ``REPRO_SANITIZE`` or the package default).
     """
 
     def __init__(self, capacity_bytes: int, policy: ObjectEvictionPolicy,
-                 admission: AdmissionHook = None):
+                 admission: AdmissionHook = None, sanitize: str = None):
         if capacity_bytes <= 0:
             raise ObjectCacheError(
                 f"capacity_bytes must be positive, got {capacity_bytes}"
@@ -46,6 +62,8 @@ class ObjectCache:
         self.capacity_bytes = capacity_bytes
         self.policy = policy
         self.admission = admission if admission is not None else AlwaysAdmit()
+        self.sanitize = resolve_mode(sanitize)
+        self.violations = []  #: recorded contract-violation messages
         self.stats = ObjectCacheStats()
         self.now = 0  # request index; drives ages and decision positions
         self._store = {}  # key -> CachedObject, insertion-ordered
@@ -85,7 +103,12 @@ class ObjectCache:
         evict-until-fits, then insertion.
         """
         request.validate()
-        self.admission.record(request, self.now)
+        try:
+            self.admission.record(request, self.now)
+        except Exception as error:  # noqa: BLE001 - the contract surface
+            if self.sanitize == "off":
+                raise
+            self._admit_all(f"record raised {_describe(error)}")
         self.stats.accesses += 1
         self.stats.requested_bytes += request.size
 
@@ -107,9 +130,20 @@ class ObjectCache:
         self.stats.misses += 1
         self.stats.miss_bytes += request.size
 
-        if request.size > self.capacity_bytes or not self.admission.admit(
-            request, self.now
-        ):
+        admitted = request.size <= self.capacity_bytes
+        if admitted:
+            try:
+                admitted = self.admission.admit(request, self.now)
+            except Exception as error:  # noqa: BLE001 - the contract surface
+                if self.sanitize == "off":
+                    raise
+                admitted = self._admit_all(f"admit raised {_describe(error)}")
+            if (admitted is not True and admitted is not False
+                    and self.sanitize != "off"):
+                admitted = self._admit_all(
+                    f"admit returned {type(admitted).__name__}, expected bool"
+                )
+        if not admitted:
             self.stats.rejected += 1
             self.stats.rejected_bytes += request.size
             self._ever_seen.add(request.key)
@@ -117,13 +151,17 @@ class ObjectCache:
             return False
 
         while self._bytes + request.size > self.capacity_bytes:
-            victim_key = self.policy.victim(self._store, request, self.now)
+            try:
+                victim_key = self.policy.victim(self._store, request, self.now)
+            except Exception as error:  # noqa: BLE001 - the contract surface
+                if self.sanitize == "off":
+                    raise
+                victim_key = self._evict_lru(
+                    f"victim raised {_describe(error)}"
+                )
             victim = self._store.get(victim_key)
             if victim is None:
-                raise ObjectCacheError(
-                    f"policy {self.policy.name!r} chose non-resident victim "
-                    f"{victim_key!r}"
-                )
+                victim = self._store[self._reject_victim(victim_key, request)]
             self._remove(victim, notify=True, incoming=request)
 
         self._insert(request)
@@ -134,6 +172,45 @@ class ObjectCache:
         for request in requests:
             self.access(request)
         return self.stats
+
+    # -- contract violations ------------------------------------------------
+
+    def _reject_victim(self, key, request: ObjectRequest):
+        """The key to evict instead of ``key``, which is not a resident."""
+        if self.sanitize == "off":
+            raise ObjectCacheError(
+                f"policy {self.policy.name!r} chose non-resident victim "
+                f"{key!r}"
+            )
+        if key == request.key:
+            return self._evict_lru("victim chose the incoming request's key")
+        return self._evict_lru(f"victim chose non-resident key {key!r}")
+
+    def _violate(self, kind: str, owner, detail: str) -> None:
+        """Record a violation by ``owner``; raise it in strict mode."""
+        name = getattr(owner, "name", owner.__class__.__name__)
+        self.violations.append(f"{kind} {name!r}: {detail}")
+        if self.sanitize == "strict":
+            raise PolicyContractError(str(name), detail)
+
+    def _evict_lru(self, detail: str):
+        """Degrade a broken policy to LRU; returns LRU's victim key.
+
+        ``last_access`` stamps strictly increase, so sorting the residents
+        by them rebuilds the exact recency order.
+        """
+        self._violate("object policy", self.policy, detail)
+        lru = ObjectLRUPolicy()
+        for obj in sorted(self._store.values(), key=attrgetter("last_access")):
+            lru.on_admit(obj, self.now)
+        self.policy = lru
+        return lru.victim(self._store, None, self.now)
+
+    def _admit_all(self, detail: str) -> bool:
+        """Degrade a broken admission hook to always-admit; returns True."""
+        self._violate("admission hook", self.admission, detail)
+        self.admission = AlwaysAdmit()
+        return True
 
     # -- internals ---------------------------------------------------------
 
@@ -191,3 +268,7 @@ class ObjectCache:
                 f"{len(self._store)}"
             )
         return problems
+
+
+def _describe(error: Exception) -> str:
+    return f"{error.__class__.__name__}: {error}"

@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass
 
 from repro import sanitize as sanitize_mod
 from repro.sanitize.errors import SanitizeError
-from repro.sanitize.object_guard import wrap_admission, wrap_object_policy
 from repro.testing.faults import maybe_fault
 
 from .admission import make_admission
@@ -106,14 +105,10 @@ def replay_object_trace(
             grading (None = tracing off; 1 = grade every eviction).
     """
     maybe_fault("object-replay", workload=trace.name, policy=policy)
-    mode = sanitize_mod.resolve_mode(sanitize)
-    inner_policy = build_policy(policy, policy_params)
     admission_spec = dict(admission or {"kind": "always"})
     hook = make_admission(admission_spec.pop("kind"), **admission_spec)
-    checked_policy = wrap_object_policy(inner_policy, mode)
-    checked_hook = wrap_admission(hook, mode)
-    cache = ObjectCache(capacity_bytes, checked_policy,
-                        admission=checked_hook)
+    cache = ObjectCache(capacity_bytes, build_policy(policy, policy_params),
+                        admission=hook, sanitize=sanitize)
 
     decision_payload = None
     trace_obj = None
@@ -134,13 +129,11 @@ def replay_object_trace(
     else:
         cache.replay(trace.requests)
 
-    violations = []
-    violations.extend(getattr(checked_policy, "violations", ()))
-    violations.extend(getattr(checked_hook, "violations", ()))
+    violations = list(cache.violations)
     problems = cache.check_conservation()
     if problems:
         detail = "; ".join(problems)
-        if mode == "strict":
+        if cache.sanitize == "strict":
             raise SanitizeError(
                 f"object cache byte accounting violated ({policy} on "
                 f"{trace.name}): {detail}"

@@ -1,12 +1,13 @@
 """``repro.sanitize`` — validation and graceful degradation.
 
 The defensive layer between untrusted *data and logic* (replacement
-policies, trace files, training dynamics) and the simulation core.  Three
-guards, one mode switch:
+policies, trace files, training dynamics) and the simulation core.  One
+mode switch decides what a failed check does:
 
-* **policy contract sanitizer** (:mod:`repro.sanitize.policy_guard`):
-  :func:`wrap_policy` puts a :class:`CheckedPolicy` proxy in front of every
-  replacement policy, enforcing victim-range/bypass/hook-lifecycle rules;
+* **policy contracts** are checked by the engines themselves, where each
+  uses the policy's answer: :class:`~repro.cache.cache.Cache` checks the
+  victim way, :class:`~repro.objcache.cache.ObjectCache` the victim key and
+  the admission verdict;
 * **trace ingestion hardening** (:mod:`repro.traces.trace_io` raises the
   typed :class:`TraceFormatError` with byte offsets / line numbers, and
   supports quarantining bad records);
@@ -26,10 +27,8 @@ explicit ``sanitize=`` arguments; see docs/validation.md):
     sweep engine marks affected cells ``degraded`` instead of killing the
     sweep.
 ``off``
-    No wrapping at all — :func:`wrap_policy` returns its argument, so the
-    per-access hot path is structurally identical to pre-sanitizer code
-    (mirroring telemetry's disabled path, where ``span()`` and
-    ``get_registry()`` return shared null objects).
+    No checks: the engines run their policies unchecked, exactly as they
+    would without a sanitizer.
 """
 
 from __future__ import annotations
@@ -42,10 +41,8 @@ from repro.sanitize.errors import (
     TraceFormatError,
     TrainingDivergedError,
 )
-from repro.sanitize.policy_guard import CheckedPolicy
 
 __all__ = [
-    "CheckedPolicy",
     "DEFAULT_MODE",
     "ENV_MODE",
     "MODES",
@@ -54,7 +51,6 @@ __all__ = [
     "TraceFormatError",
     "TrainingDivergedError",
     "resolve_mode",
-    "wrap_policy",
 ]
 
 #: Environment override for the process-wide default mode.
@@ -79,18 +75,3 @@ def resolve_mode(mode: str = None) -> str:
             f"unknown sanitize mode {mode!r}; expected one of {MODES}"
         )
     return mode
-
-
-def wrap_policy(policy, mode: str = None, allow_bypass: bool = False):
-    """Apply the contract sanitizer to ``policy`` according to ``mode``.
-
-    Identity in ``off`` mode and for already-wrapped policies (idempotent,
-    so the eval runner and :class:`~repro.cache.cache.Cache` can both call
-    it without double-wrapping).
-    """
-    mode = resolve_mode(mode)
-    if mode == "off" or isinstance(policy, CheckedPolicy):
-        return policy
-    return CheckedPolicy(
-        policy, strict=(mode == "strict"), allow_bypass=allow_bypass
-    )

@@ -4,9 +4,9 @@ Every defensive check in :mod:`repro.sanitize` fails through one of these
 exception types, so callers (the sweep engine, the CLI, CI jobs) can tell a
 *data/logic* violation apart from an ordinary bug:
 
-* :class:`PolicyContractError` — a replacement policy broke the
-  :class:`~repro.cache.replacement.base.ReplacementPolicy` contract
-  (out-of-range victim, unauthorized bypass, unbalanced hook lifecycle);
+* :class:`PolicyContractError` — a replacement policy, object policy or
+  admission hook broke its contract (out-of-range or non-resident victim,
+  unauthorized bypass, a raising hook, a non-bool admission verdict);
 * :class:`TraceFormatError` — a trace file failed validation (bad magic,
   truncated tail, out-of-range field), with the byte offset / line number
   and record index in the message;
@@ -26,7 +26,7 @@ class SanitizeError(RuntimeError):
 
 
 class PolicyContractError(SanitizeError):
-    """A replacement policy violated the victim/hook contract.
+    """A policy or admission hook violated its contract.
 
     Attributes:
         policy: Registry name of the offending policy.

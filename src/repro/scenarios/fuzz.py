@@ -274,8 +274,8 @@ def check_scenario_contract(data: dict, jobs=(1, 2)) -> dict:
     Works for both scenario kinds.  Runs the scenario once per entry in
     ``jobs`` and asserts the canonical reports are byte-identical, that no
     cell failed, that conservation holds (the kind's own laws), and that no
-    cell recorded a sanitizer violation (the policy, or for object caches
-    the admission/eviction contract wrappers).  Returns the first report
+    cell recorded a sanitizer violation (the policy contract, and for
+    object caches the admission contract too).  Returns the first report
     payload (for further assertions).
     """
     scenario = scenario_from_dict(data, source="<fuzz>")

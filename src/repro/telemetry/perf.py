@@ -163,7 +163,7 @@ class PhaseProfile:
 
 
 class _TimedPolicy:
-    """Timing proxy around a (possibly sanitizer-wrapped) CPU policy.
+    """Timing proxy around a CPU policy.
 
     Only the hot-path contract methods are intercepted; everything else
     (``bind``, ``name``, ``needs_line_metadata``, ...) delegates, so the
@@ -238,9 +238,8 @@ def make_profiled_cache(config, policy, profile, **kwargs):
 
     class ProfiledCache(Cache):
         def __init__(self):
-            # Cache.__init__ applies the sanitizer wrap; the timer goes on
-            # *outside* it so victim_scoring/policy_update include the
-            # sanitizer's real hot-path cost.
+            # The contract check runs inside Cache.access, so its cost is
+            # booked to the engine's own phases, not to the policy's.
             super().__init__(config, policy, **kwargs)
             self.profile = profile
             self.policy = _TimedPolicy(self.policy, profile)

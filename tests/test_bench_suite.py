@@ -89,8 +89,7 @@ class TestOverheadFamily:
         assert_observatory_envelope(payload, "overhead")
         assert set(payload["checks"]) == {
             "telemetry_hooks_disabled", "decision_observer_loop",
-            "telemetry_disabled_identity", "sanitize_off_identity",
-            "profiler_parity",
+            "telemetry_disabled_identity", "profiler_parity",
         }
         for name, check in payload["checks"].items():
             assert check["ok"], f"budget check {name} busted: {check}"

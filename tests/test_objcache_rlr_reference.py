@@ -35,7 +35,6 @@ from repro.objcache.rlr import (  # noqa: E402
     PRIORITY_SCALE,
     ObjectRLRPolicy,
 )
-from repro.sanitize.object_guard import wrap_object_policy  # noqa: E402
 
 _BUDGET = int(os.environ.get("REPRO_FUZZ_EXAMPLES", "0"))
 
@@ -89,12 +88,12 @@ class ReferenceRLR(ObjectEvictionPolicy):
 
 def _drive(policy, capacity, requests, sanitize="off"):
     """Replay ``requests``; returns per-request hits, victims, books."""
-    cache = ObjectCache(capacity, wrap_object_policy(policy, sanitize))
+    cache = ObjectCache(capacity, policy, sanitize=sanitize)
     victims = []
     cache.add_decision_observer(
         lambda victim, incoming, now: victims.append(victim.key))
     hits = [cache.access(request) for request in requests]
-    assert not getattr(cache.policy, "violations", [])
+    assert cache.violations == []
     return hits, victims, cache.stats.as_dict(), list(cache.residents)
 
 

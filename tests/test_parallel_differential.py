@@ -178,3 +178,22 @@ class TestFaultIsolation:
         assert not bad.ok
         assert "synthetic policy failure" in bad.error
         assert [cell.policy for cell in report.failures()] == ["exploding"]
+
+
+class TestPolicyInstances:
+    """An instance replays as the caller passed it, in every cell."""
+
+    @pytest.mark.parametrize("sanitize", ["off", "normal"])
+    def test_instance_state_does_not_leak_between_cells(self, sanitize):
+        from repro.cache.replacement import make_policy
+
+        def sweep(jobs):
+            return parallel_sweep(
+                EvalConfig(scale=64, trace_length=1500, seed=3),
+                ["429.mcf", "471.omnetpp"], [make_policy("random")],
+                jobs=jobs, use_cache=False, sanitize=sanitize,
+            )
+
+        serial, pooled = sweep(1), sweep(2)
+        assert [cell.status for cell in serial.cells] == ["ok", "ok"]
+        assert serial.to_csv().encode() == pooled.to_csv().encode()

@@ -4,6 +4,11 @@ Both are driven by the same hypothesis streams. Under LRU the reference
 picks its own victims. Under every other policy it is handed the way
 ``Cache``'s policy chose, so the substrate (lookup, fills, recency, ages,
 Table II metadata, statistics) is checked under any eviction order.
+
+The same streams check the engine's side of the policy contract: ``victim``
+is asked only on a full set, every ``on_evict`` is followed directly by the
+``on_fill`` for the same set and way, and nothing the engine or the sweep
+does binds a policy a second time.
 """
 
 from __future__ import annotations
@@ -12,9 +17,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.cache import Cache, CacheConfig
+from repro.cache import Cache, CacheConfig, CacheHierarchy
 from repro.cache.replacement import POLICY_REGISTRY, make_policy
 from repro.cache.replacement.belady import BeladyPolicy
+from repro.cache.replacement.lru import LRUPolicy
 from repro.traces.record import AccessType, TraceRecord
 
 from tests.reference_cache import ReferenceCache
@@ -118,3 +124,112 @@ def test_matches_reference(policy_name, operations, geometry, detailed):
 def test_matches_reference_with_invalidations(policy_name, operations,
                                               geometry, detailed):
     _run(policy_name, operations, geometry, detailed)
+
+
+# -- engine invariants --------------------------------------------------------
+
+
+class RecordingLRU(LRUPolicy):
+    """LRU that logs every hook call the cache makes, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def on_hit(self, set_index, way, line, access):
+        self.events.append(("hit", set_index, way))
+
+    def on_miss(self, set_index, access):
+        self.events.append(("miss", set_index, None))
+
+    def on_evict(self, set_index, way, line, access):
+        self.events.append(("evict", set_index, way))
+
+    def on_fill(self, set_index, way, line, access):
+        self.events.append(("fill", set_index, way))
+
+    def victim(self, set_index, cache_set, access):
+        full = (len(cache_set.stack) == cache_set.ways
+                and all(line.valid for line in cache_set.lines))
+        self.events.append(("victim", set_index, full))
+        return super().victim(set_index, cache_set, access)
+
+
+def _hook_events(operations, geometry):
+    """Drive a RecordingLRU cache; returns (hook events, cache)."""
+    sets, ways = geometry
+    config = CacheConfig("ref", sets * ways * 64, ways, latency=1)
+    policy = RecordingLRU()
+    policy.bind(config)
+    cache = Cache(config, policy, detailed=False, sanitize="strict")
+    for roll, line, kind, pc, offset in operations:
+        if roll:
+            cache.access(_record(line, kind, pc, offset))
+        else:
+            cache.invalidate_line(line)
+    return policy.events, cache
+
+
+@_SETTINGS
+@given(operations=st.lists(_operation, max_size=120), geometry=_geometry)
+def test_victim_is_asked_only_on_a_full_set(operations, geometry):
+    events, _ = _hook_events(operations, geometry)
+    assert all(full for event, _, full in events if event == "victim")
+
+
+@_SETTINGS
+@given(operations=st.lists(_operation, max_size=120), geometry=_geometry)
+def test_every_evict_is_followed_by_its_fill(operations, geometry):
+    events, cache = _hook_events(operations, geometry)
+    for index, (event, set_index, way) in enumerate(events):
+        if event == "evict":
+            assert events[index + 1] == ("fill", set_index, way)
+    assert (sum(event == "evict" for event, _, _ in events)
+            == cache.stats.evictions)
+
+
+class BindOnce(LRUPolicy):
+    """LRU whose ``bind`` fails when the instance is already bound."""
+
+    name = "bind-once"
+
+    def bind(self, config):
+        if self.num_sets:
+            raise AssertionError("bind called more than once")
+        super().bind(config)
+
+
+@pytest.fixture(scope="module")
+def eval_config():
+    from repro.eval.workloads import EvalConfig
+
+    return EvalConfig(scale=64, trace_length=1500, seed=3)
+
+
+def test_replay_binds_once(eval_config):
+    from repro.eval.runner import prepare_workload, replay
+
+    prepared = prepare_workload(eval_config, eval_config.trace("429.mcf"))
+    violations = []
+    result = replay(prepared, BindOnce(), sanitize="strict",
+                    violations=violations)
+    assert result.policy_name == "bind-once"
+    assert violations == []
+
+
+def test_hierarchy_binds_once(eval_config):
+    hierarchy = CacheHierarchy(eval_config.hierarchy(), BindOnce(),
+                               sanitize="strict")
+    for record in eval_config.trace("429.mcf").records:
+        hierarchy.access(record)
+    assert hierarchy.llc.violations == []
+    assert hierarchy.llc.stats.evictions > 0
+
+
+def test_sweep_binds_each_cell_once(eval_config):
+    from repro.eval.parallel import parallel_sweep
+
+    report = parallel_sweep(eval_config, ["429.mcf", "471.omnetpp"],
+                            [BindOnce()], jobs=1, use_cache=False,
+                            sanitize="strict")
+    assert [cell.status for cell in report.cells] == ["ok", "ok"]

@@ -1,4 +1,8 @@
-"""Tests for the policy contract sanitizer (repro.sanitize)."""
+"""The CPU policy contract, checked inside :class:`repro.cache.Cache`.
+
+Every case pins its sanitizer mode explicitly, so the suite means the same
+thing under a ``REPRO_SANITIZE=strict`` environment.
+"""
 
 import copy
 
@@ -9,12 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.cache import Cache, CacheConfig
 from repro.cache.replacement import POLICY_REGISTRY, make_policy
 from repro.cache.replacement.base import BYPASS, ReplacementPolicy
-from repro.sanitize import (
-    CheckedPolicy,
-    PolicyContractError,
-    resolve_mode,
-    wrap_policy,
-)
+from repro.sanitize import MODES, PolicyContractError, resolve_mode
 from repro.traces.record import AccessType, TraceRecord
 
 from tests.conftest import load
@@ -59,6 +58,12 @@ def _fill_and_overflow(cache, lines=32):
         cache.access(load(line))
 
 
+def _cache(policy, mode, allow_bypass=False):
+    config = _config()
+    policy.bind(config)
+    return Cache(config, policy, allow_bypass=allow_bypass, sanitize=mode)
+
+
 class TestResolveMode:
     def test_default_is_normal(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
@@ -78,125 +83,97 @@ class TestResolveMode:
 
 
 class TestWrapPolicy:
+    """Nothing wraps the policy: the cache holds the caller's instance."""
+
     def test_off_mode_is_structural_identity(self):
-        # Mirrors telemetry's shared span/registry null objects: disabled
-        # means the exact same object, not a cheap wrapper.
-        policy = make_policy("lru")
-        assert wrap_policy(policy, "off") is policy
-
-    def test_wrapping_is_idempotent(self):
-        policy = wrap_policy(make_policy("lru"), "normal")
-        assert wrap_policy(policy, "normal") is policy
-
-    def test_hot_path_hooks_are_rebound_not_wrapped(self):
-        policy = make_policy("lru")
-        checked = wrap_policy(policy, "normal")
-        assert checked.on_hit == policy.on_hit
-        assert checked.on_miss == policy.on_miss
-
-    def test_attribute_delegation(self):
-        checked = wrap_policy(make_policy("ship"), "normal")
-        assert checked.name == "ship"
-        assert checked.uses_pc is True
+        for mode in MODES:
+            policy = make_policy("lru")
+            assert _cache(policy, mode).policy is policy
+        # Off records nothing: an unauthorised BYPASS falls back to LRU
+        # silently and the policy stays in place.
+        policy = AlwaysBypassPolicy()
+        cache = _cache(policy, "off")
+        _fill_and_overflow(cache)
+        assert cache.violations == []
+        assert cache.policy is policy
+        assert cache.stats.bypasses == 0
 
 
 class TestStrictMode:
     def test_out_of_range_victim_raises_typed_error(self):
-        config = _config()
-        policy = wrap_policy(OutOfRangePolicy(), "strict")
-        policy.bind(config)
-        cache = Cache(config, policy, sanitize="strict")
+        cache = _cache(OutOfRangePolicy(), "strict")
         with pytest.raises(PolicyContractError) as excinfo:
             _fill_and_overflow(cache)
-        assert "outofrange" in str(excinfo.value)
-        assert "range(ways=4)" in str(excinfo.value)
+        assert str(excinfo.value) == (
+            "policy 'outofrange' (set 0): victim way 7 outside range(ways=4)"
+        )
+        # Recorded before raising, exactly once.
+        assert cache.violations == [str(excinfo.value)]
 
     def test_bypass_without_allowance_raises(self):
-        config = _config()
-        policy = wrap_policy(AlwaysBypassPolicy(), "strict")
-        policy.bind(config)
-        cache = Cache(config, policy, allow_bypass=False, sanitize="strict")
-        with pytest.raises(PolicyContractError):
+        cache = _cache(AlwaysBypassPolicy(), "strict", allow_bypass=False)
+        with pytest.raises(PolicyContractError) as excinfo:
             _fill_and_overflow(cache)
+        assert cache.violations == [
+            "policy 'alwaysbypass' (set 0): returned BYPASS but the cache "
+            "does not allow bypass"
+        ]
+        assert cache.violations == [str(excinfo.value)]
 
     def test_bypass_with_allowance_passes_through(self):
-        config = _config()
-        policy = wrap_policy(
-            AlwaysBypassPolicy(), "strict", allow_bypass=True
-        )
-        policy.bind(config)
-        cache = Cache(config, policy, allow_bypass=True, sanitize="strict")
+        cache = _cache(AlwaysBypassPolicy(), "strict", allow_bypass=True)
         _fill_and_overflow(cache)
         assert cache.stats.bypasses > 0
+        assert cache.violations == []
 
     def test_non_integer_victim_raises(self):
-        config = _config()
-        policy = wrap_policy(NonePolicy(), "strict")
-        policy.bind(config)
-        cache = Cache(config, policy, sanitize="strict")
-        with pytest.raises(PolicyContractError):
+        cache = _cache(NonePolicy(), "strict")
+        with pytest.raises(PolicyContractError, match="victim way None "
+                           r"outside range\(ways=4\)"):
             _fill_and_overflow(cache)
-
-    def test_double_bind_raises(self):
-        policy = wrap_policy(make_policy("lru"), "strict")
-        policy.bind(_config())
-        with pytest.raises(PolicyContractError):
-            policy.bind(_config())
-
-    def test_prebound_policy_first_wrapped_bind_counts_as_double(self):
-        inner = make_policy("lru")
-        inner.bind(_config())
-        policy = wrap_policy(inner, "strict")
-        with pytest.raises(PolicyContractError):
-            policy.bind(_config())
-
-    def test_lifecycle_balance_check(self):
-        config = _config()
-        policy = wrap_policy(make_policy("lru"), "strict")
-        policy.bind(config)
-        cache = Cache(config, policy, sanitize="strict")
-        _fill_and_overflow(cache)
-        cache.policy.assert_lifecycle_balanced()  # cache pairs them
-        # A hand-driven unmatched eviction is detected.
-        cache.policy.on_evict(0, 0, cache.sets[0].lines[0], load(0))
-        with pytest.raises(PolicyContractError):
-            cache.policy.assert_lifecycle_balanced()
+        assert len(cache.violations) == 1
 
 
 class TestNormalModeDegradation:
     def test_violation_degrades_to_lru_and_records(self):
-        config = _config()
-        policy = wrap_policy(OutOfRangePolicy(), "normal")
-        policy.bind(config)
-        cache = Cache(config, policy, sanitize="normal")
+        policy = OutOfRangePolicy()
+        cache = _cache(policy, "normal")
         _fill_and_overflow(cache)
-        assert cache.policy.degraded
-        assert len(cache.policy.violations) == 1  # recorded once, not per miss
-        assert "outofrange" in cache.policy.violations[0]
+        assert cache.violations == [  # recorded once, not per miss
+            "policy 'outofrange' (set 0): victim way 7 outside range(ways=4)"
+        ]
+        assert cache.policy is not policy
+        # Results keep naming the policy the caller passed.
+        assert cache.policy.name == "outofrange"
 
     def test_degraded_cache_behaves_exactly_like_lru(self):
-        config = _config()
-        bad = wrap_policy(OutOfRangePolicy(), "normal")
-        bad.bind(config)
-        bad_cache = Cache(config, bad, sanitize="normal")
-
-        lru = make_policy("lru")
-        lru.bind(_config())
-        lru_cache = Cache(_config(), lru, sanitize="off")
-
+        bad_cache = _cache(OutOfRangePolicy(), "normal")
+        lru_cache = _cache(make_policy("lru"), "off")
         for line in [0, 4, 8, 12, 16, 0, 4, 20, 8, 24, 12, 0, 28, 32]:
             bad_cache.access(load(line))
             lru_cache.access(load(line))
+        assert len(bad_cache.violations) == 1
         assert bad_cache.stats.summary() == lru_cache.stats.summary()
 
     def test_no_violation_means_no_degradation(self):
-        config = _config()
-        policy = wrap_policy(make_policy("srrip"), "normal")
-        policy.bind(config)
-        cache = Cache(config, policy, sanitize="normal")
+        policy = make_policy("srrip")
+        cache = _cache(policy, "normal")
         _fill_and_overflow(cache)
-        assert not cache.policy.degraded
-        assert cache.policy.violations == []
+        assert cache.policy is policy
+        assert cache.violations == []
+
+    def test_violation_counts_into_telemetry(self):
+        from repro import telemetry
+
+        registry = telemetry.MetricsRegistry()
+        telemetry.configure(registry=registry)
+        try:
+            _fill_and_overflow(_cache(OutOfRangePolicy(), "normal"))
+        finally:
+            telemetry.shutdown()
+        counters = registry.snapshot()["counters"]
+        assert [value for key, value in counters.items()
+                if key.startswith("sanitize.policy_violations")] == [1]
 
 
 _PROPERTY_ACCESSES = st.lists(
@@ -230,10 +207,10 @@ class TestContractProperty:
     def test_every_registry_policy_honours_the_contract(
         self, accesses, policy_name, geometry
     ):
-        # Strict sanitizer: any out-of-range/invalid victim, bypass abuse,
-        # or hook imbalance raises.  Additionally, an access to one set
-        # must never mutate any *other* set's line state (valid even for
-        # set-dueling policies — only cache-line state is checked).
+        # Strict mode: any out-of-range victim or bypass abuse raises.
+        # Additionally, an access to one set must never mutate any *other*
+        # set's line state (valid even for set-dueling policies — only
+        # cache-line state is checked).
         sets, ways = geometry
         config = CacheConfig("p", sets * ways * 64, ways, latency=1)
         records = [
@@ -247,9 +224,8 @@ class TestContractProperty:
             )
         else:
             policy = make_policy(policy_name)
-        checked = wrap_policy(policy, "strict")
-        checked.bind(config)
-        cache = Cache(config, checked, sanitize="strict")
+        policy.bind(config)
+        cache = Cache(config, policy, sanitize="strict")
         for record in records:
             accessed = config.set_index(record.line_address)
             before = {
@@ -263,8 +239,7 @@ class TestContractProperty:
                     f"{policy_name} mutated set {index} while set "
                     f"{accessed} was accessed"
                 )
-        checked.assert_lifecycle_balanced()
-        assert checked.violations == []
+        assert cache.violations == []
 
 
 class TestSweepDegradation:
@@ -287,6 +262,7 @@ class TestSweepDegradation:
         bad = report.cell("429.mcf", "outofrange")
         assert bad.ok
         assert bad.status == "degraded"
+        assert len(bad.violations) == 1
         assert "outofrange" in bad.violations[0]
         assert ",degraded," in report.to_csv()
         good = report.cell("429.mcf", "lru")
@@ -357,70 +333,38 @@ class TestSweepDegradation:
 
 
 class TestConcurrentDegradation:
-    """Degradation must be idempotent and atomic under interleaved evicts.
-
-    Threads sharing one wrapper can race a violating policy; the
-    violation must be recorded exactly once and the degrade flip must
-    never tear (hooks half-swapped).
-    """
-
-    def _racing_wrapper(self):
-        checked = wrap_policy(OutOfRangePolicy(), mode="normal")
-        checked.bind(_config())
-        return checked
-
-    def test_violation_recorded_exactly_once_across_threads(self):
-        import threading
-
-        checked = self._racing_wrapper()
-        cache = Cache(_config(), checked)
-        _fill_and_overflow(cache)  # arm: sets are full, next evict violates
-
-        barrier = threading.Barrier(8)
-        errors = []
-
-        def interleaved_evicts(worker: int):
-            barrier.wait()
-            for n in range(50):
-                try:
-                    victim_set = cache.sets[0]
-                    checked.victim(0, victim_set, load(worker * 1000 + n))
-                except Exception as error:  # noqa: BLE001
-                    errors.append(error)
-
-        threads = [
-            threading.Thread(target=interleaved_evicts, args=(worker,))
-            for worker in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        assert not errors
-        assert checked.degraded
-        assert len(checked.violations) == 1  # exactly once, not per-thread
-
     def test_degraded_hooks_are_noops_after_the_flip(self):
-        checked = self._racing_wrapper()
-        cache = Cache(_config(), checked)
-        _fill_and_overflow(cache)
-        checked.victim(0, cache.sets[0], load(9999))  # trips the violation
-        assert checked.degraded
-        # The flip swapped the hot-path hooks for no-ops atomically.
-        assert checked.on_hit.__name__ == "_noop"
-        assert checked.on_miss.__name__ == "_noop"
+        class CountingOutOfRange(OutOfRangePolicy):
+            """Counts every hook call the cache makes."""
 
-    def test_degraded_wrapper_survives_pickling(self):
-        import pickle
+            def __init__(self):
+                super().__init__(good=2)
+                self.calls = 0
 
-        checked = self._racing_wrapper()
-        cache = Cache(_config(), checked)
-        _fill_and_overflow(cache)
-        checked.victim(0, cache.sets[0], load(9999))
-        assert checked.degraded
-        clone = pickle.loads(pickle.dumps(checked))
-        assert clone.degraded
-        assert len(clone.violations) == 1
-        # The restored wrapper still serves (LRU) without raising.
-        assert isinstance(clone.victim(0, cache.sets[0], load(1)), int)
+            def on_hit(self, *args):
+                self.calls += 1
+
+            def on_miss(self, *args):
+                self.calls += 1
+
+            def on_evict(self, *args):
+                self.calls += 1
+
+            def on_fill(self, *args):
+                self.calls += 1
+
+            def victim(self, set_index, cache_set, access):
+                self.calls += 1
+                way = super().victim(set_index, cache_set, access)
+                if way not in range(cache_set.ways):
+                    self.calls_at_violation = self.calls
+                return way
+
+        policy = CountingOutOfRange()
+        cache = _cache(policy, "normal")
+        for line in list(range(32)) * 3:  # hits, misses and evictions
+            cache.access(load(line))
+        assert len(cache.violations) == 1
+        # The violating victim call was the last call the policy saw: not
+        # even that miss's on_evict/on_fill reached it.
+        assert policy.calls == policy.calls_at_violation
