@@ -58,11 +58,11 @@ class Cache:
         allow_bypass: Honour :data:`BYPASS` returned by the policy.  When
             False a bypass request falls back to LRU eviction.
         detailed: Maintain the full Table II per-line metadata (preuse,
-            per-type counts, PCs, types, offset, core).  Needed at the LLC
-            (RL features, analysis); upper levels and policies with
-            ``needs_line_metadata = False`` run with ``detailed=False``,
-            where a fill writes only the line's identity, dirty bit and
-            age stamps.  Ages and recency ranks are exact either way.
+            per-type counts, PCs, types, offset, core), which RL features
+            and analysis read.  Policies with ``needs_line_metadata =
+            False`` run with ``detailed=False``, where a fill writes only
+            the line's identity, dirty bit and age stamps.  Ages and
+            recency ranks are exact either way.
         sanitize: What a contract violation does ("off" / "normal" /
             "strict"; None = ``REPRO_SANITIZE`` or the package default).
     """

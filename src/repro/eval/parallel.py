@@ -122,8 +122,9 @@ class SweepReport:
     resumed: tuple = ()  #: (workload, policy) cells served from the journal
     pool_stats: dict = field(default_factory=dict)  #: watchdog/retry counters
     prep_cache_stats: dict = field(default_factory=dict)  #: hits/misses/corrupt
-    #: Per-workload pass-1 hierarchy counters (telemetry; resumed workloads
-    #: whose pass 1 was skipped entirely are absent).
+    #: Per-workload pass-1 counters (telemetry; resumed workloads whose
+    #: pass 1 was skipped entirely are absent): summed L1 and L2 summaries,
+    #: and ``{"accesses": N}`` for the LLC, the recorded stream's length.
     hierarchy_stats: dict = field(default_factory=dict)
     prepare_seconds: dict = field(default_factory=dict)  #: workload -> seconds
     wall_seconds: float = 0.0  #: parent-measured sweep wall time

@@ -1,7 +1,7 @@
 """On-disk cache for pass-1 :class:`~repro.eval.runner.PreparedWorkload`s.
 
-Pass 1 of the record-once/replay-per-policy runner simulates the full
-hierarchy and is by far the most expensive stage of a sweep — and its output
+Pass 1 of the record-once/replay-per-policy runner runs L1/L2 and the
+prefetchers over the whole trace to record the LLC stream — and its output
 depends only on the trace and the policy-independent configuration.  This
 module caches those artifacts on disk, keyed by a SHA-256 content hash of
 
@@ -42,7 +42,10 @@ from repro.traces.record import Trace
 from repro.traces.trace_io import trace_to_bytes
 
 #: Bump to invalidate every existing cache entry (layout changes).
-FORMAT_VERSION = 3  # v3: framed container (repro.store) around the pickle
+#: v3: framed container (repro.store) around the pickle; v4: pass 1 records
+#: the LLC stream without simulating an LLC, so ``hierarchy_stats["llc"]``
+#: holds only the access count.
+FORMAT_VERSION = 4
 
 #: Frame-container family tag for cache entries.
 PREP_CACHE_FAMILY = "prep-cache"

@@ -2,8 +2,9 @@
 
 Because the LLC reference stream is independent of the LLC's own replacement
 policy (upper levels never observe LLC state — the same property the paper
-exploits to train RL on pre-recorded LLC traces), each workload is simulated
-through the full hierarchy exactly once (:func:`prepare_workload`), recording
+exploits to train RL on pre-recorded LLC traces), each workload is run
+through L1/L2 and the prefetchers exactly once (:func:`prepare_workload`,
+a recording hierarchy that simulates no LLC), recording
 
 * the LLC access stream,
 * the per-core compute + L1/L2-stall cycle baseline, and
@@ -48,7 +49,9 @@ class PreparedWorkload:
     instructions: list  #: per-core instructions (post-warm-up)
     stall_llc: float
     stall_mem: float
-    #: Per-level hierarchy counters from the recording pass (telemetry).
+    #: Per-level counters from the recording pass (telemetry): summed L1
+    #: and L2 ``CacheStats`` summaries, and ``{"accesses": N}`` for the LLC,
+    #: where N is the recorded stream's length (no LLC is simulated).
     hierarchy_stats: dict = field(default_factory=dict)
     #: Wall-clock seconds pass 1 took (telemetry; 0.0 for legacy artifacts).
     #: Excluded from equality — two identical simulations are equal however
@@ -73,19 +76,16 @@ def prepare_workload(
     l2_prefetcher: Optional[str] = None,
     core_config: Optional[CoreConfig] = None,
 ) -> PreparedWorkload:
-    """Run the full hierarchy once (LRU LLC) and record the LLC stream."""
+    """Run L1/L2 and the prefetchers once and record the LLC stream."""
     maybe_fault("prepare", workload=trace.name)
     started = time.perf_counter()
     core_config = _core_config(core_config)
     hierarchy_config = eval_config.hierarchy(num_cores=num_cores)
     hierarchy = CacheHierarchy(
-        hierarchy_config, make_policy("lru"), l2_prefetcher=l2_prefetcher
+        hierarchy_config, None, l2_prefetcher=l2_prefetcher
     )
     timing = TimingModel(hierarchy_config, core_config)
-    llc_records = []
-    hierarchy.llc.add_access_observer(
-        lambda access, hit: llc_records.append(access)
-    )
+    llc_records = hierarchy.llc_records
 
     warmup_end = int(len(trace.records) * eval_config.warmup_fraction)
     warmup_index = 0

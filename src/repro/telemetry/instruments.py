@@ -103,10 +103,12 @@ def record_decision_payload(registry, payload: dict, **labels) -> None:
 
 
 def hierarchy_snapshot(hierarchy_stats: dict) -> dict:
-    """Pass-1 full-hierarchy counters, per level, summed over workloads.
+    """Pass-1 counters, per level, summed over workloads.
 
     ``hierarchy_stats`` is ``{workload: per-level summary}`` as recorded on
-    :class:`~repro.eval.runner.PreparedWorkload.hierarchy_stats`.
+    :class:`~repro.eval.runner.PreparedWorkload.hierarchy_stats`.  Pass 1
+    simulates no LLC, so its ``llc`` level carries only ``cache.accesses``
+    (the recorded stream's length) and there are no memory counters.
     """
     registry = MetricsRegistry()
     for stats in hierarchy_stats.values():
@@ -117,12 +119,6 @@ def hierarchy_snapshot(hierarchy_stats: dict) -> dict:
             if summary:
                 record_cache_stats(registry, summary, level=level,
                                    phase="prepare")
-        registry.counter("cache.memory_reads", phase="prepare").inc(
-            stats.get("memory_reads", 0)
-        )
-        registry.counter("cache.memory_writes", phase="prepare").inc(
-            stats.get("memory_writes", 0)
-        )
         registry.counter("sweep.workloads_prepared").inc()
     return registry.snapshot()
 

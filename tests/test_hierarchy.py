@@ -1,5 +1,7 @@
 """Tests for the 3-level cache hierarchy."""
 
+import random
+
 import pytest
 
 from repro.cache import CacheConfig, CacheHierarchy, HierarchyConfig, L1, L2, LLC, MEMORY
@@ -123,31 +125,48 @@ class TestMulticore:
 class TestStreamIndependence:
     """The property the two-pass Belady/replay design rests on."""
 
-    def test_llc_stream_is_policy_independent(self):
-        def stream_for(policy_name):
-            config = HierarchyConfig(
-                l1i=CacheConfig("L1I", 2 * 64 * 2, 2, latency=4),
-                l1d=CacheConfig("L1D", 2 * 64 * 2, 2, latency=4),
-                l2=CacheConfig("L2", 4 * 64 * 4, 4, latency=12),
-                llc=CacheConfig("LLC", 8 * 64 * 8, 8, latency=26),
-                l1_prefetcher="next_line",
-                l2_prefetcher="ip_stride",
-            )
-            hierarchy = CacheHierarchy(config, make_policy(policy_name))
-            stream = []
-            hierarchy.llc.add_access_observer(
-                lambda access, hit: stream.append(
-                    (access.line_address, access.access_type)
-                )
-            )
-            import random
+    @pytest.mark.parametrize("num_cores", [1, 2])
+    @pytest.mark.parametrize("l2_prefetcher", ["ip_stride", "kpc_p", "none"])
+    def test_llc_stream_is_policy_independent(self, num_cores, l2_prefetcher):
+        config = HierarchyConfig(
+            l1i=CacheConfig("L1I", 2 * 64 * 2, 2, latency=4),
+            l1d=CacheConfig("L1D", 2 * 64 * 2, 2, latency=4),
+            l2=CacheConfig("L2", 4 * 64 * 4, 4, latency=12),
+            llc=CacheConfig("LLC", 8 * 64 * 8, 8, latency=26),
+            l1_prefetcher="next_line",
+            l2_prefetcher=l2_prefetcher,
+            num_cores=num_cores,
+        )
+        rng = random.Random(3)
+        records = []
+        strided = [0] * num_cores
+        for _ in range(800):
+            core = rng.randrange(num_cores)
+            if rng.random() < 0.5:
+                line, pc = rng.randrange(200), 0
+            else:  # a per-core stride the L2 prefetcher can learn
+                strided[core] += 3
+                line, pc = strided[core], 4
+            kind = AccessType.RFO if rng.random() < 0.3 else AccessType.LOAD
+            records.append(TraceRecord(address=line * 64, pc=pc,
+                                       access_type=kind, core=core))
 
-            rng = random.Random(3)
-            for _ in range(800):
-                hierarchy.access(load(rng.randrange(200)))
-            return stream
+        def run(policy_name):
+            """(LLC stream, serving level of each access, LLC folded in)."""
+            if policy_name is None:  # the recording hierarchy
+                hierarchy = CacheHierarchy(config, None)
+                stream = hierarchy.llc_records
+            else:
+                hierarchy = CacheHierarchy(config, make_policy(policy_name))
+                stream = []
+                hierarchy.llc.add_access_observer(
+                    lambda access, hit: stream.append(access))
+            levels = [min(hierarchy.access(record), LLC) for record in records]
+            return stream, levels
 
-        assert stream_for("lru") == stream_for("mru") == stream_for("srrip")
+        recorded = run(None)
+        assert {record.access_type for record in recorded[0]} == set(AccessType)
+        assert run("lru") == run("mru") == run("srrip") == recorded
 
 
 class TestKPCPPrefetchPath:

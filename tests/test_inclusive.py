@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.cache import CacheConfig, CacheHierarchy, HierarchyConfig
+from repro.cache.hierarchy import PrivateLevel
 from repro.cache.replacement import make_policy
 
 from tests.conftest import load, rfo
@@ -25,6 +26,9 @@ def tiny_hierarchy(inclusion="inclusive", num_cores=1, llc_policy="lru"):
 
 
 def resident_lines(cache):
+    """Line addresses held by the LLC (a ``Cache``) or a ``PrivateLevel``."""
+    if isinstance(cache, PrivateLevel):
+        return {line for lines in cache.sets for line in lines}
     return {
         line.line_address
         for cache_set in cache.sets
@@ -38,6 +42,13 @@ class TestInclusion:
         config = HierarchyConfig.scaled(factor=64)
         with pytest.raises(ValueError):
             CacheHierarchy(config, make_policy("lru"), inclusion="exclusive")
+
+    def test_recording_hierarchy_cannot_be_inclusive(self):
+        # Back-invalidation reads LLC state, which a recording hierarchy
+        # (no LLC policy) does not simulate.
+        config = HierarchyConfig.scaled(factor=64)
+        with pytest.raises(ValueError):
+            CacheHierarchy(config, None, inclusion="inclusive")
 
     def test_upper_levels_subset_of_llc(self):
         hierarchy = tiny_hierarchy("inclusive")

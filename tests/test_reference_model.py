@@ -1,6 +1,7 @@
 """``Cache`` against the naive reference model in ``tests/reference_cache.py``.
 
-Both are driven by the same hypothesis streams. Under LRU the reference
+Both are driven by the same hypothesis streams, which also drive the
+hierarchy's private LRU level (``PrivateLevel``). Under LRU the reference
 picks its own victims. Under every other policy it is handed the way
 ``Cache``'s policy chose, so the substrate (lookup, fills, recency, ages,
 Table II metadata, statistics) is checked under any eviction order.
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.cache import Cache, CacheConfig, CacheHierarchy
+from repro.cache.hierarchy import HIT, MISS, PrivateLevel
 from repro.cache.replacement import POLICY_REGISTRY, make_policy
 from repro.cache.replacement.belady import BeladyPolicy
 from repro.cache.replacement.lru import LRUPolicy
@@ -124,6 +126,28 @@ def test_matches_reference(policy_name, operations, geometry, detailed):
 def test_matches_reference_with_invalidations(policy_name, operations,
                                               geometry, detailed):
     _run(policy_name, operations, geometry, detailed)
+
+
+# At 30 examples a write hit that leaves the line clean went uncaught in
+# some runs; the level is cheap to drive, so this test runs 300.
+@settings(_SETTINGS, max_examples=300)
+@given(operations=st.lists(_operation, max_size=120), geometry=_geometry)
+def test_private_level_matches_reference(operations, geometry):
+    """The hierarchy's private L1/L2 level is the reference's LRU."""
+    sets, ways = geometry
+    level = PrivateLevel(CacheConfig("ref", sets * ways * 64, ways, latency=1))
+    reference = ReferenceCache(sets, ways)
+    for roll, line, kind, pc, offset in operations:
+        if not roll:
+            assert level.invalidate_line(line) == reference.invalidate(line)
+            continue
+        hit, evicted, dirty = reference.access(_record(line, kind, pc, offset))
+        expected = HIT if hit else (evicted if dirty else MISS)
+        assert level.access(line, kind) == expected
+    for lines, stack in zip(level.sets, reference.sets):
+        assert list(lines.items()) == [(ref_line.line_address, ref_line.dirty)
+                                       for ref_line in stack]
+    assert level.stats.summary() == reference.summary()
 
 
 # -- engine invariants --------------------------------------------------------

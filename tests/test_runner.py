@@ -139,3 +139,72 @@ class TestMulticoreRunner:
 
         policy = _instantiate("rlr", 4)
         assert policy.num_cores == 4
+
+
+def _artifact_digest(prepared) -> str:
+    """SHA-256 of everything pass 1 hands to replay and to the reports."""
+    import hashlib
+    import json
+
+    stats = prepared.hierarchy_stats
+    payload = {
+        "stream": [
+            (record.address, record.pc, int(record.access_type),
+             record.instr_delta, record.core)
+            for record in prepared.llc_records
+        ],
+        "warmup_index": prepared.warmup_index,
+        "base_cycles": prepared.base_cycles,
+        "instructions": prepared.instructions,
+        "stalls": [prepared.stall_llc, prepared.stall_mem],
+        "l1": stats["l1"],
+        "l2": stats["l2"],
+        "llc_accesses": stats["llc"]["accesses"],
+    }
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+#: Pass-1 artifact digests recorded with a full-hierarchy pass 1 (an LRU
+#: LLC, and L1/L2 as ``Cache``s under ``LRUPolicy``): the recording
+#: hierarchy must reproduce that artifact exactly.
+PASS1_DIGESTS = {
+    ("429.mcf", None):
+        "22ae3be931cdd9a7f131a59bcabb1416d7ff657224a4966dc0a2eff0bf14ad96",
+    ("429.mcf", "none"):
+        "22ae3be931cdd9a7f131a59bcabb1416d7ff657224a4966dc0a2eff0bf14ad96",
+    ("429.mcf", "kpc_p"):
+        "d0c2df7030525964c1eb8b8f06cbf67051ee8450642866fd8817bf8d6704fafa",
+    ("473.astar", None):
+        "345d73ba40fbc64613fdd0c44d8b3bde779e621e4d42c0359668427fc549ab5c",
+    ("473.astar", "none"):
+        "66b99746029856ad15c9ee33f590b2814d8391adb52889c9a3c71850812c1e5d",
+    ("473.astar", "kpc_p"):
+        "81b963b7dc5839acbe56cab3a0335115410155fe7b2b1b5cd3701f7cc82099ab",
+    ("mix", None):
+        "7439138a6c0da2f6fee7149101bf5478bb82f94345fbf783695e3911cd09b0c1",
+}
+
+
+class TestPass1ArtifactDigests:
+    @pytest.fixture(scope="class")
+    def digest_config(self):
+        return EvalConfig(scale=64, trace_length=5000, seed=3)
+
+    @pytest.mark.parametrize("workload,l2_prefetcher", [
+        key for key in PASS1_DIGESTS if key[0] != "mix"
+    ])
+    def test_single_core_artifact_is_pinned(self, digest_config, workload,
+                                            l2_prefetcher):
+        prepared = prepare_workload(digest_config,
+                                    digest_config.trace(workload),
+                                    l2_prefetcher=l2_prefetcher)
+        assert (_artifact_digest(prepared)
+                == PASS1_DIGESTS[(workload, l2_prefetcher)])
+
+    def test_mix_artifact_is_pinned(self):
+        eval_config = EvalConfig(scale=64, trace_length=2000, seed=5)
+        trace = eval_config.mix_trace(
+            ("429.mcf", "470.lbm", "403.gcc", "483.xalancbmk"))
+        prepared = prepare_workload(eval_config, trace, num_cores=4)
+        assert _artifact_digest(prepared) == PASS1_DIGESTS[("mix", None)]
