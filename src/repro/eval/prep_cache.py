@@ -5,7 +5,9 @@ prefetchers over the whole trace to record the LLC stream — and its output
 depends only on the trace and the policy-independent configuration.  This
 module caches those artifacts on disk, keyed by a SHA-256 content hash of
 
-* the trace's canonical byte encoding (:func:`repro.traces.trace_io.trace_to_bytes`),
+* the trace's name and its records as typed columns
+  (:func:`repro.traces.record.records_to_columns`, lossless for every
+  field of every record),
 * the derived hierarchy configuration (cache geometries, latencies,
   prefetchers — so e.g. changing the LLC associativity changes the key),
 * the warm-up fraction, core count, L2 prefetcher override, and
@@ -23,7 +25,9 @@ perpetual warning), counted (``corrupt``/``quarantined``), surfaced as a
 is transparently rebuilt by the caller's ordinary miss path, so the next
 access stores a fresh valid copy.  Version-mismatched entries (stale
 ``FORMAT_VERSION`` or pre-integrity-layer bare pickles) remain silent
-misses: they are expected after upgrades, not damage.
+misses: they are expected after upgrades, not damage.  An entry holds the
+recorded LLC stream in the same column encoding the key hashes
+(:class:`~repro.eval.runner.PreparedWorkload` pickles it that way).
 """
 
 from __future__ import annotations
@@ -38,14 +42,14 @@ from repro.cache.config import CoreConfig
 from repro.store.errors import ArtifactCorruptionError
 from repro.store.frames import is_framed, read_artifact, write_artifact
 from repro.testing.faults import maybe_fault
-from repro.traces.record import Trace
-from repro.traces.trace_io import trace_to_bytes
+from repro.traces.record import Trace, records_to_columns
 
 #: Bump to invalidate every existing cache entry (layout changes).
 #: v3: framed container (repro.store) around the pickle; v4: pass 1 records
 #: the LLC stream without simulating an LLC, so ``hierarchy_stats["llc"]``
-#: holds only the access count.
-FORMAT_VERSION = 4
+#: holds only the access count; v5: the stream is pickled as typed columns
+#: and the key hashes the trace's records losslessly.
+FORMAT_VERSION = 5
 
 #: Frame-container family tag for cache entries.
 PREP_CACHE_FAMILY = "prep-cache"
@@ -199,7 +203,10 @@ def workload_cache_key(
     hierarchy = eval_config.hierarchy(num_cores=num_cores)
     hasher = hashlib.sha256()
     hasher.update(b"repro-prep-v%d\0" % FORMAT_VERSION)
-    hasher.update(trace_to_bytes(trace))
+    name = trace.name.encode("utf-8")
+    hasher.update(b"%d\0%s\0%d\0" % (len(name), name, len(trace.records)))
+    for column in records_to_columns(trace.records):
+        hasher.update(column)
     configuration = "\0".join(
         (
             f"warmup={eval_config.warmup_fraction!r}",

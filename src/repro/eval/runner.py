@@ -33,7 +33,7 @@ from repro.cpu.system import SystemResult
 from repro.eval.workloads import EvalConfig
 from repro.telemetry import span
 from repro.testing.faults import maybe_fault
-from repro.traces.record import Trace
+from repro.traces.record import Trace, records_from_columns, records_to_columns
 
 
 @dataclass
@@ -62,6 +62,18 @@ class PreparedWorkload:
     def llc_line_stream(self) -> list:
         """Line addresses of the stream (Belady's future knowledge)."""
         return [record.line_address for record in self.llc_records]
+
+    # The stream crosses the pool pipe and the prep-cache as five typed
+    # columns: pickling ~100k records one dataclass at a time cost more than
+    # recording them.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["llc_records"] = records_to_columns(self.llc_records)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.llc_records = records_from_columns(state["llc_records"])
 
 
 def _core_config(core_config: Optional[CoreConfig]) -> CoreConfig:

@@ -112,24 +112,13 @@ def build_trace(
         mean_instr_delta=spec.mean_instr_delta,
         write_fraction=spec.write_fraction,
         base_address=core << 28,  # disjoint address spaces per core
+        core=core,
     )
     offset = 0
     for pattern in spec.patterns:
         mixer.add(pattern.weight, _make_generator(pattern, llc_lines, length, offset))
         offset += _lines(max(pattern.working_set, pattern.scan_lines), llc_lines) + 64
-    trace = mixer.build(length)
-    if core:
-        trace.records = [
-            type(record)(
-                address=record.address,
-                pc=record.pc,
-                access_type=record.access_type,
-                instr_delta=record.instr_delta,
-                core=core,
-            )
-            for record in trace.records
-        ]
-    return trace
+    return mixer.build(length)
 
 
 def _spec(name, patterns, instr=6, writes=0.1, mpki="high"):

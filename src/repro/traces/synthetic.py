@@ -198,6 +198,7 @@ class PatternMixer:
             store (RFO at L1), on top of pattern-specified writes.
         base_address: Line-address offset for the whole trace (keeps traces
             of co-running cores in disjoint address ranges).
+        core: Issuing core id stamped on every record.
         pc_slots: Size of the shared PC pool the patterns' pc_ids are folded
             into.  Real programs issue each access class from many PCs whose
             behaviours overlap; folding pattern PCs into a small shared pool
@@ -222,12 +223,14 @@ class PatternMixer:
         base_address: int = 0,
         pc_slots: int = 8,
         spatial_locality: float = 0.35,
+        core: int = 0,
     ) -> None:
         self.name = name
         self.seed = seed
         self.mean_instr_delta = mean_instr_delta
         self.write_fraction = write_fraction
         self.base_address = base_address
+        self.core = core
         self.pc_slots = pc_slots
         self.spatial_locality = spatial_locality
         self._components = []  # (weight, make_generator)
@@ -299,6 +302,7 @@ class PatternMixer:
                     pc=pc_base + pc_slot * 4,
                     access_type=AccessType.RFO if is_write else AccessType.LOAD,
                     instr_delta=instr_delta,
+                    core=self.core,
                 )
             )
         return Trace(self.name, records)

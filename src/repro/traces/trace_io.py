@@ -11,14 +11,16 @@ Two formats:
   for large traces — ~4x smaller and ~10x faster to parse than CSV.
 
 The binary encoding is exposed as :func:`trace_to_bytes` /
-:func:`trace_from_bytes` so traces have one canonical byte representation;
-:func:`trace_digest` hashes it, which the prepared-workload disk cache
-(:mod:`repro.eval.prep_cache`) uses as the trace component of its content
-key.
+:func:`trace_from_bytes`.  Its fields are fixed-width, so
+:func:`trace_to_bytes` raises ``ValueError`` on a record it cannot hold
+rather than writing a different trace.  The prepared-workload disk cache
+(:mod:`repro.eval.prep_cache`) keys on the lossless column encoding of
+:func:`repro.traces.record.records_to_columns` instead.
 
 Ingestion is hardened (see docs/validation.md): both loaders validate
-structure and field ranges up front and fail with a typed
-:class:`~repro.sanitize.errors.TraceFormatError` carrying the CSV line
+structure and field ranges up front (a CSV value too large for its
+:data:`~repro.traces.record.COLUMN_MAX` column included) and fail with a
+typed :class:`~repro.sanitize.errors.TraceFormatError` carrying the CSV line
 number or binary byte offset and record index — never a bare
 ``struct.error``/``KeyError``.  With ``quarantine=True`` a loader skips
 bad records instead of aborting, emits one counted
@@ -29,7 +31,6 @@ telemetry counter (free when telemetry is off).
 from __future__ import annotations
 
 import gzip
-import hashlib
 import struct
 import warnings
 from pathlib import Path
@@ -37,6 +38,7 @@ from pathlib import Path
 from repro.sanitize.errors import TraceFormatError
 from repro.telemetry import get_registry
 from repro.traces.record import (
+    COLUMN_MAX,
     AccessType,
     Trace,
     TraceRecord,
@@ -49,11 +51,20 @@ class TraceQuarantineWarning(UserWarning):
 
 _HEADER = "pc,access_type,address,instr_delta,core"
 
-#: Binary format: magic, version, record struct (address, pc, type,
-#: instr_delta, core).
+#: Binary format: magic, version, then one fixed-width record per access,
+#: whose fields and struct codes are these.
 _BINARY_MAGIC = b"RPTR"
 _BINARY_VERSION = 1
-_RECORD_STRUCT = struct.Struct("<QQBHB")
+_RECORD_FIELDS = (
+    ("address", "Q"),
+    ("pc", "Q"),
+    ("access_type", "B"),
+    ("instr_delta", "H"),
+    ("core", "B"),
+)
+_RECORD_STRUCT = struct.Struct(
+    "<" + "".join(code for _, code in _RECORD_FIELDS)
+)
 
 
 def _open(path, mode):
@@ -127,6 +138,18 @@ def _parse_csv_record(fields, source, lineno: int) -> TraceRecord:
         raise TraceFormatError(
             source, f"negative core {core}", line=lineno
         )
+    for field_name, value in (
+        ("address", address),
+        ("pc", pc),
+        ("instr_delta", instr_delta),
+        ("core", core),
+    ):
+        if value > COLUMN_MAX[field_name]:
+            raise TraceFormatError(
+                source,
+                f"{field_name} {value} above {COLUMN_MAX[field_name]}",
+                line=lineno,
+            )
     return TraceRecord(
         address=address,
         pc=pc,
@@ -174,7 +197,9 @@ def trace_to_bytes(trace: Trace) -> bytes:
     """The canonical binary encoding of ``trace`` (header + fixed records).
 
     Deterministic: the same name and record sequence always produce the
-    same bytes, making the encoding safe to content-hash.
+    same bytes.  A record with a field outside its fixed width (an
+    ``instr_delta`` above 0xFFFF, a core above 255, ...) raises
+    ``ValueError`` naming the record and the field.
     """
     name_bytes = trace.name.encode("utf-8")[:255]
     chunks = [
@@ -183,18 +208,37 @@ def trace_to_bytes(trace: Trace) -> bytes:
         name_bytes,
         struct.pack("<Q", len(trace.records)),
     ]
+    header = len(chunks)
     pack = _RECORD_STRUCT.pack
-    for record in trace.records:
-        chunks.append(
-            pack(
-                record.address,
-                record.pc,
-                int(record.access_type),
-                min(record.instr_delta, 0xFFFF),
-                record.core,
+    try:
+        for record in trace.records:
+            chunks.append(
+                pack(
+                    record.address,
+                    record.pc,
+                    record.access_type,
+                    record.instr_delta,
+                    record.core,
+                )
             )
-        )
+    except struct.error:
+        index = len(chunks) - header
+        raise ValueError(_misfit(trace.records[index], index)) from None
     return b"".join(chunks)
+
+
+def _misfit(record: TraceRecord, index: int) -> str:
+    """Which field of ``record`` (the ``index``-th) the format cannot hold."""
+    for field_name, code in _RECORD_FIELDS:
+        value = getattr(record, field_name)
+        try:
+            struct.pack("<" + code, value)
+        except struct.error as error:
+            return (
+                f"record {index}: {field_name} {value!r} does not fit the "
+                f"binary trace format ({error})"
+            )
+    return f"record {index} does not fit the binary trace format"
 
 
 def trace_from_bytes(
@@ -299,11 +343,6 @@ def trace_from_bytes(
         )
     _quarantine_report(source, skipped)
     return Trace(name, records)
-
-
-def trace_digest(trace: Trace) -> str:
-    """SHA-256 hex digest of the canonical binary encoding of ``trace``."""
-    return hashlib.sha256(trace_to_bytes(trace)).hexdigest()
 
 
 def save_trace_binary(trace: Trace, path) -> None:

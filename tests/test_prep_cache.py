@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -47,8 +48,22 @@ class TestCacheKey:
                          instr_delta=first.instr_delta, core=first.core)]
             + trace.records[1:],
         )
+
+        def with_instr_delta(instr_delta):
+            records = list(trace.records)
+            records[300] = replace(records[300], instr_delta=instr_delta)
+            return Trace(trace.name, records)
+
         perturbed = {
             "trace contents": workload_cache_key(_config(), mutated),
+            # Pass 1 counts these instructions, so a wider gap must not
+            # share a key with a 16-bit one.
+            "instr_delta at 0xFFFF": workload_cache_key(
+                _config(), with_instr_delta(0xFFFF)
+            ),
+            "instr_delta above 0xFFFF": workload_cache_key(
+                _config(), with_instr_delta(70_000)
+            ),
             "warmup fraction": workload_cache_key(
                 _config(warmup_fraction=0.3), trace
             ),

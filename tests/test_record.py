@@ -1,5 +1,7 @@
 """Tests for repro.traces.record."""
 
+import dataclasses
+
 import pytest
 
 from repro.traces import (
@@ -65,10 +67,57 @@ class TestTraceRecord:
         assert record.instr_delta == 1
         assert record.core == 0
 
-    def test_records_are_immutable(self):
+    @pytest.mark.parametrize(
+        "name", [field.name for field in dataclasses.fields(TraceRecord)]
+    )
+    def test_records_are_immutable(self, name):
         record = TraceRecord(address=64)
-        with pytest.raises(AttributeError):
-            record.address = 128
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 128)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+        assert record == TraceRecord(address=64)
+
+
+class TestConstructor:
+    """The written-out ``__init__`` behaves like the generated one did."""
+
+    def test_positional_and_keyword_calls_agree(self):
+        positional = TraceRecord(0x1234, 0x400, AccessType.RFO, 9, 2)
+        keyword = TraceRecord(core=2, instr_delta=9,
+                              access_type=AccessType.RFO, pc=0x400,
+                              address=0x1234)
+        assert positional == keyword
+        assert dataclasses.astuple(positional) == dataclasses.astuple(keyword)
+        assert positional.line_address == 0x1234 >> OFFSET_BITS
+
+    def test_equality_and_hash_ignore_line_address(self):
+        record = TraceRecord(address=0x1000, pc=4)
+        other = TraceRecord(address=0x1000, pc=4)
+        # Only a slot's own descriptor can write a frozen record.
+        TraceRecord.line_address.__set__(other, -1)
+        assert record == other
+        assert hash(record) == hash(other)
+        assert record != TraceRecord(address=0x1040, pc=4)
+        assert [field.name for field in dataclasses.fields(TraceRecord)
+                if field.compare] == [
+            "address", "pc", "access_type", "instr_delta", "core"]
+
+    def test_repr_is_pinned(self):
+        record = TraceRecord(0x1234, 0x400, AccessType.PREFETCH, 0, 3)
+        assert repr(record) == (
+            "TraceRecord(address=4660, pc=1024, "
+            "access_type=<AccessType.PREFETCH: 2>, instr_delta=0, core=3, "
+            "line_address=72)"
+        )
+
+    def test_dataclasses_replace_recomputes_line_address(self):
+        record = TraceRecord(0x1234, 0x400, AccessType.RFO, 9, 2)
+        moved = dataclasses.replace(record, address=0x8000)
+        assert moved == TraceRecord(0x8000, 0x400, AccessType.RFO, 9, 2)
+        assert moved.line_address == 0x8000 >> OFFSET_BITS
+        with pytest.raises(ValueError):
+            dataclasses.replace(record, line_address=5)
 
 
 class TestTrace:

@@ -1,10 +1,15 @@
 """Tests for the evaluation runner — above all, replay == full-system."""
 
-import pytest
+import pickle
 
-from repro.cache.config import CoreConfig
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.cache.config import CacheConfig, CoreConfig
 from repro.cpu.system import System
 from repro.eval.runner import (
+    PreparedWorkload,
     compare_policies,
     prepare_workload,
     record_llc_stream,
@@ -13,7 +18,13 @@ from repro.eval.runner import (
     run_workload,
 )
 from repro.eval.workloads import EvalConfig
-from repro.traces.record import Trace
+from repro.traces.record import (
+    COLUMN_MAX,
+    OFFSET_BITS,
+    AccessType,
+    Trace,
+    TraceRecord,
+)
 from repro.traces.spec_models import build_trace, get_workload
 
 
@@ -67,6 +78,63 @@ class TestPreparedWorkload:
     def test_stall_ordering(self, eval_config, trace):
         prepared = prepare_workload(eval_config, trace)
         assert prepared.stall_mem > prepared.stall_llc > 0
+
+
+#: Records at the edges every pickled stream must carry: each access type,
+#: instr_delta 0 and above 16 bits, cores 0-3, and the largest address, pc
+#: and instr_delta the trace loaders accept.
+_EDGE_RECORDS = [
+    TraceRecord(COLUMN_MAX["address"], COLUMN_MAX["pc"], AccessType.LOAD,
+                0, 0),
+    TraceRecord(0, 0, AccessType.RFO, 0x10000, 1),
+    TraceRecord(64, 4, AccessType.PREFETCH, COLUMN_MAX["instr_delta"], 2),
+    TraceRecord(COLUMN_MAX["address"] - 63, 8, AccessType.WRITEBACK, 1, 3),
+]
+
+_stream_records = st.lists(st.builds(
+    TraceRecord,
+    address=st.integers(0, COLUMN_MAX["address"]),
+    pc=st.integers(0, COLUMN_MAX["pc"]),
+    access_type=st.sampled_from(list(AccessType)),
+    instr_delta=st.integers(0, COLUMN_MAX["instr_delta"]),
+    core=st.integers(0, 3),
+), max_size=40)
+
+
+class TestPickledStream:
+    """``PreparedWorkload`` pickles its stream as columns, losslessly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=_stream_records, warmup=st.integers(0, 44))
+    def test_round_trip_keeps_every_field(self, drawn, warmup):
+        records = _EDGE_RECORDS + drawn
+        prepared = PreparedWorkload(
+            trace_name="edges",
+            num_cores=4,
+            llc_config=CacheConfig("llc", 16 * 64 * 4, 4, latency=26),
+            llc_records=records,
+            warmup_index=min(warmup, len(records)),
+            base_cycles=[1.5, 2.0, 0.0, 3.25],
+            instructions=[10, 0, 7, 2**40],
+            stall_llc=26.0,
+            stall_mem=226.0,
+            hierarchy_stats={"llc": {"accesses": len(records)}},
+            prepare_seconds=0.5,
+        )
+        loaded = pickle.loads(
+            pickle.dumps(prepared, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert loaded == prepared
+        assert loaded.prepare_seconds == prepared.prepare_seconds
+        assert len(loaded.llc_records) == len(records)
+        for got, want in zip(loaded.llc_records, records):
+            assert (got.address, got.pc, got.access_type, got.instr_delta,
+                    got.core) == (want.address, want.pc, want.access_type,
+                                  want.instr_delta, want.core)
+            assert type(got.access_type) is AccessType
+            assert got.line_address == got.address >> OFFSET_BITS
+        # Pickling reads the artifact; it must not rewrite it.
+        assert prepared.llc_records == records
 
 
 class TestBelady:

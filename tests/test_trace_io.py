@@ -104,6 +104,25 @@ class TestBinaryFormat:
         save_trace_binary(trace, bin_path)
         assert bin_path.stat().st_size < csv_path.stat().st_size
 
+    @pytest.mark.parametrize("field,value", [
+        ("instr_delta", 0x10000),
+        ("core", 256),
+        ("address", 2**64),
+    ])
+    def test_value_outside_the_record_raises(self, tmp_path, sample_trace,
+                                             field, value):
+        # Fixed-width records used to clamp instr_delta to 0xFFFF, so a
+        # round trip silently changed the trace.
+        from dataclasses import replace
+
+        from repro.traces.trace_io import save_trace_binary
+
+        records = list(sample_trace.records)
+        records[1] = replace(records[1], **{field: value})
+        path = tmp_path / "trace.bin"
+        with pytest.raises(ValueError, match=f"record 1: {field} {value}"):
+            save_trace_binary(Trace("wide", records), path)
+
     def test_rejects_wrong_magic(self, tmp_path):
         from repro.traces.trace_io import load_trace_binary
 
@@ -144,6 +163,35 @@ class TestHardenedCsvIngestion:
         path.write_text("0x4,LD,0x40,1,-1\n")
         with pytest.raises(TraceFormatError, match="core"):
             load_trace(path)
+
+    @pytest.mark.parametrize("line,field", [
+        ("0x4,LD,0x10000000000000000,1,0", "address"),
+        ("0x10000000000000000,LD,0x40,1,0", "pc"),
+        ("0x4,LD,0x40,4294967296,0", "instr_delta"),
+        ("0x4,LD,0x40,1,65536", "core"),
+    ])
+    def test_value_wider_than_its_column_names_the_line(
+        self, tmp_path, line, field
+    ):
+        # A record the prepared stream's columns cannot hold must stop at
+        # load, not crash a sweep when the stream is pickled.
+        path = tmp_path / "t.csv"
+        path.write_text(f"0x4,LD,0x40,1,0\n{line}\n")
+        with pytest.raises(TraceFormatError) as excinfo:
+            load_trace(path)
+        message = str(excinfo.value)
+        assert "line 2" in message
+        assert field in message
+
+    def test_largest_column_values_load(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "0xffffffffffffffff,PR,0xffffffffffffffff,4294967295,65535\n"
+        )
+        (record,) = load_trace(path).records
+        assert record.address == record.pc == 2**64 - 1
+        assert record.instr_delta == 2**32 - 1
+        assert record.core == 2**16 - 1
 
     def test_non_numeric_field_names_the_line(self, tmp_path):
         path = tmp_path / "t.csv"
