@@ -12,7 +12,7 @@ Commands:
   ``--resume RUN_ID`` continues an interrupted run — see docs/reliability.md;
   ``--metrics`` records telemetry to the run directory — see
   docs/observability.md)
-* ``metrics``   — render a run's recorded telemetry (tables or Prometheus)
+* ``metrics``   — render a run's recorded telemetry as tables
 * ``replay``    — one workload under one policy; ``--decisions`` records a
   graded per-eviction decision log to a new run directory
 * ``inspect``   — render a run's decision log: Figure 5-7 victim profiles,
@@ -416,11 +416,7 @@ def cmd_metrics(args) -> int:
     from pathlib import Path
 
     from repro.runs.supervisor import SPANS_NAME
-    from repro.telemetry.export import (
-        load_metrics_json,
-        render_metrics,
-        to_prometheus,
-    )
+    from repro.telemetry.export import load_metrics_json, render_metrics
     from repro.telemetry.spans import read_spans, summarize_spans
 
     path = Path(args.run)
@@ -435,9 +431,6 @@ def cmd_metrics(args) -> int:
             f"(known runs under {DEFAULT_RUN_ROOT}: {known})"
         )
     payload = load_metrics_json(path)
-    if args.prometheus:
-        print(to_prometheus(payload), end="")
-        return 0
     print(render_metrics(payload))
     spans_path = (path if path.is_dir() else path.parent) / SPANS_NAME
     if spans_path.is_file():
@@ -1175,9 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("run",
                          help="run directory, metrics.json path, or a run id "
                               f"under {DEFAULT_RUN_ROOT} (e.g. run-0001)")
-    metrics.add_argument("--prometheus", action="store_true",
-                         help="emit Prometheus text exposition format "
-                              "instead of tables")
 
     replay_cmd = commands.add_parser(
         "replay", help="replay one workload/policy, optionally tracing "

@@ -9,13 +9,20 @@ A matrix of fixed, small, deterministic workloads, one family per engine:
   admission-gated variants (``lru+size_threshold``, ``lru+freq_gate``);
 * **train**: one Q-learning epoch over a recorded LLC stream (records/sec);
 * **overhead**: the disabled-path budget guards (telemetry hooks, decision
-  observer loops, sanitizer off-mode, profiler parity) as asserted checks.
+  observer loops, telemetry identity) as asserted checks.
 
-Every payload is schema-versioned (:data:`BENCH_SCHEMA_VERSION`), stamps
-the environment (python, machine, git SHA + dirty flag), and — where an
-engine is profiled — carries the per-phase attribution breakdown from
-:mod:`repro.telemetry.perf`, so a regression report can name the phase
-that got slower, not just the number that moved.
+Every payload is schema-versioned (:data:`BENCH_SCHEMA_VERSION`) and stamps
+the environment (python, machine, git SHA + dirty flag).  The replay and
+objcache payloads also split each key's replay into phases, so a
+regression report can name the phase that got slower, not just the number
+that moved.  The split times the one engine, unprofiled:
+:func:`replay_phases` and :func:`objcache_phases` record one
+sanitizer-off replay (its victims, admission verdicts and per-access
+answers), then time a chain of runs that each add one piece to the run
+before (:mod:`repro.telemetry.perf` names them).  The runs before the real
+policy get :class:`Scripted` stand-ins that replay the recorded answers.
+Every run after the loop must reproduce the recorded result exactly, or
+the bench raises; the digest of that result goes into the payload.
 
 Results are committed as ``BENCH_*.json`` at the repo root (one snapshot
 per PR) and appended to ``BENCH_history.jsonl``
@@ -26,17 +33,32 @@ the CI machine class, not absolute truth.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import platform
 import time
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
+
+from repro.telemetry.perf import ENGINES, PhaseProfile
+from repro.telemetry.registry import deterministic_digest
 
 #: Bumped whenever a payload's shape changes (satellite: snapshots must be
 #: correlatable with history — see docs/observability.md).
 #: v2: added schema/git stamps, phases and more bench families.
-BENCH_SCHEMA_VERSION = 2
+#: v3: phases are differences of unprofiled runs, with ``spread_ns``, and
+#: carry the ``digest`` of the result the runs reproduced.
+BENCH_SCHEMA_VERSION = 3
 
 DEFAULT_REPEATS = 3
+
+#: Timed rounds of the phase split per bench key; the run order rotates
+#: from round to round.
+PHASE_ROUNDS = 8
+
+CPU_HOOKS = ("on_hit", "on_miss", "on_evict", "on_fill")
+OBJECT_HOOKS = ("on_admit", "on_hit", "on_evict")
 
 #: The fixed objcache benchmark shape (mirrors scenarios/objcache goldens).
 OBJCACHE_BENCH = {
@@ -125,11 +147,206 @@ def _environment() -> dict:
     }
 
 
+# -- phase split ----------------------------------------------------------------
+
+
+class Scripted:
+    """Stands in for ``policy``, answering from a recorded list.
+
+    ``victim`` (a CPU or object policy's) and ``admit`` (an admission
+    hook's) return the next recorded answer; every other hook does
+    nothing, except those named in ``hooks``, which are ``policy``'s own
+    bound methods set on the instance, so no wrapper sits between the
+    engine and a real hook.  Binding the stand-in binds ``policy``.
+    """
+
+    def __init__(self, policy, answers, hooks=()) -> None:
+        self.name = policy.name
+        self.needs_line_metadata = getattr(policy, "needs_line_metadata",
+                                           True)
+        self.bind = getattr(policy, "bind", self._ignore)
+        self._answer = iter(answers).__next__
+        for hook in hooks:
+            setattr(self, hook, getattr(policy, hook))
+
+    def victim(self, *decision):
+        try:
+            return self._answer()
+        except StopIteration:
+            raise RuntimeError(
+                f"scripted {self.name!r} ran out of recorded answers: the "
+                f"run did not reproduce the recorded replay"
+            ) from None
+
+    admit = victim
+
+    def _ignore(self, *event):
+        pass
+
+    on_hit = on_miss = on_evict = on_fill = on_admit = record = _ignore
+
+
+def _recorded(answers):
+    """The cache of the loop-alone run: it answers from the recording."""
+    # next(recorded, request): the request is only the unused default.
+    return SimpleNamespace(access=partial(next, iter(answers)),
+                           reset_stats=lambda: None, stats=None)
+
+
+def _split(engine, label, runs, drive, outcome, expected, calls):
+    """Time the chain ``runs`` for :data:`PHASE_ROUNDS` rounds.
+
+    ``runs`` holds one zero-argument cache factory per phase of
+    ``engine``'s chain, the loop alone first.  ``drive(cache)`` is the
+    timed loop; for every run after the first, ``outcome(cache, what
+    drive returned)`` must equal ``expected`` or the split raises.
+    """
+    def timed(index):
+        cache = runs[index]()
+        started = time.perf_counter()
+        returned = drive(cache)
+        seconds = time.perf_counter() - started
+        if index and outcome(cache, returned) != expected:
+            raise RuntimeError(
+                f"phase split of {label!r}: the "
+                f"{ENGINES[engine][index]} run did not reproduce the "
+                f"recorded replay, so its time would split a different "
+                f"simulation"
+            )
+        return seconds
+
+    rounds = []
+    for round_index in range(PHASE_ROUNDS):
+        seconds = [0.0] * len(runs)
+        for step in range(len(runs)):
+            index = (round_index + step) % len(runs)
+            seconds[index] = timed(index)
+        rounds.append(seconds)
+    profile = PhaseProfile(engine, calls["trace_decode"], calls,
+                           deterministic_digest(expected))
+    profile.reduce(rounds)
+    return profile
+
+
+def replay_phases(prepared, make_policy):
+    """Split one policy's replay of ``prepared`` into phases.
+
+    ``make_policy()`` returns a fresh policy instance; every run gets its
+    own.  Returns a :class:`~repro.telemetry.perf.PhaseProfile`.
+    """
+    from repro.cache.cache import Cache
+    from repro.eval.runner import replay, replay_loop, replay_result
+
+    victims = []
+    expected = replay(
+        prepared, make_policy(), sanitize="off",
+        observers=[lambda cache_set, way, line, access: victims.append(way)],
+    )
+    name = expected.policy_name
+    expected = dataclasses.asdict(expected)
+
+    def cache_for(policy, sanitize="off"):
+        policy.bind(prepared.llc_config)
+        return Cache(prepared.llc_config, policy,
+                     detailed=getattr(policy, "needs_line_metadata", True),
+                     sanitize=sanitize)
+
+    def drive(cache):
+        return replay_loop(prepared, cache.access, cache.reset_stats)
+
+    def outcome(cache, cycles):
+        return dataclasses.asdict(replay_result(prepared, name, cache, cycles))
+
+    # The answers the loop alone is fed, from one untimed pass of the
+    # scripted engine (the engine run checks that it reproduces).
+    cache = cache_for(Scripted(make_policy(), victims))
+    answers = [cache.access(record) for record in prepared.llc_records]
+    accesses = len(answers)
+    misses = sum(1 for result in answers if not result.hit)
+    runs = [
+        partial(_recorded, answers),
+        lambda: cache_for(Scripted(make_policy(), victims)),
+        lambda: cache_for(Scripted(make_policy(), victims, CPU_HOOKS)),
+        lambda: cache_for(make_policy()),
+        lambda: cache_for(make_policy(), sanitize=None),
+    ]
+    calls = {
+        "trace_decode": accesses,
+        "tag_lookup": accesses,
+        "policy_update": accesses + misses + len(victims),
+        "victim_scoring": len(victims),
+        "sanitize": accesses,
+    }
+    return _split("replay", name, runs, drive, outcome, expected, calls)
+
+
+def objcache_phases(requests, capacity_bytes: int, make_policy,
+                    make_gate, key: str = "objcache"):
+    """Split one object policy's replay of ``requests`` into phases.
+
+    ``make_policy()`` and ``make_gate()`` return a fresh eviction policy
+    and admission hook; every run gets its own.  Returns a
+    :class:`~repro.telemetry.perf.PhaseProfile`.
+    """
+    from repro.objcache import ObjectCache
+
+    victims, verdicts = [], []
+    gate = make_gate()
+    real_admit = gate.admit
+
+    def admit(request, now):
+        verdicts.append(real_admit(request, now))
+        return verdicts[-1]
+
+    gate.admit = admit
+    cache = ObjectCache(capacity_bytes, make_policy(), admission=gate,
+                        sanitize="off")
+    cache.add_decision_observer(
+        lambda victim, incoming, now: victims.append(victim.key)
+    )
+    answers = [cache.access(request) for request in requests]
+    stats = cache.stats
+
+    def cache_for(policy, admission, sanitize="off"):
+        return ObjectCache(capacity_bytes, policy, admission=admission,
+                           sanitize=sanitize)
+
+    def drive(cache):
+        # The one request loop, also run on the loop-alone stand-in.
+        ObjectCache.replay(cache, requests)
+
+    def outcome(cache, returned):
+        return cache.stats.as_dict()
+
+    def recorded_gate():
+        return Scripted(make_gate(), verdicts)
+
+    runs = [
+        partial(_recorded, answers),
+        lambda: cache_for(Scripted(make_policy(), victims), recorded_gate()),
+        lambda: cache_for(Scripted(make_policy(), victims, OBJECT_HOOKS),
+                          recorded_gate()),
+        lambda: cache_for(make_policy(), recorded_gate()),
+        lambda: cache_for(make_policy(), make_gate()),
+        lambda: cache_for(make_policy(), make_gate(), sanitize=None),
+    ]
+    calls = {
+        "trace_decode": stats.accesses,
+        "tag_lookup": stats.accesses,
+        "policy_update": stats.admitted + stats.hits + stats.evictions,
+        "victim_scoring": len(victims),
+        "admission": stats.accesses + len(verdicts),
+        "sanitize": stats.accesses,
+    }
+    return _split("objcache", key, runs, drive, outcome, stats.as_dict(),
+                  calls)
+
+
 def bench_objcache(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
     """Accesses/sec of ``ObjectCache.replay`` per policy and admission gate.
 
-    Rates come from unprofiled caches (best-of-N); one additional profiled
-    replay per variant supplies the phase-attribution breakdown.
+    Rates are best-of-N over plain replays; :func:`objcache_phases` splits
+    each variant's replay into phases.
     """
     from repro.objcache import (
         ObjectCache,
@@ -137,7 +354,6 @@ def bench_objcache(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
         make_object_policy,
     )
     from repro.objcache.admission import make_admission
-    from repro.telemetry.perf import PhaseProfile, make_profiled_object_cache
 
     spec = _merged(OBJCACHE_BENCH, spec)
     trace = generate_object_trace(
@@ -159,13 +375,11 @@ def bench_objcache(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
             cache.replay(trace.requests)
 
         rates[key] = round(_best_rate(run, len(trace.requests), repeats), 1)
-        profile = PhaseProfile("objcache")
-        profiled_cache = make_profiled_object_cache(
-            spec["capacity_bytes"], make_object_policy(policy), profile,
-            admission=make_admission(gate) if gate else None,
-        )
-        profiled_cache.replay(trace.requests)
-        phases[key] = profile.as_dict()
+        phases[key] = objcache_phases(
+            trace.requests, spec["capacity_bytes"],
+            partial(make_object_policy, policy),
+            partial(make_admission, gate or "always"), key=key,
+        ).as_dict()
     return {
         "bench": "objcache",
         "schema": BENCH_SCHEMA_VERSION,
@@ -183,12 +397,13 @@ def bench_replay(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
     """LLC accesses/sec of the pass-2 replay per CPU policy.
 
     ``prepare_workload`` runs once up front — the warm-prep-cache path — so
-    the timing covers only the policy-dependent replay loop.  A profiled
-    replay per policy (not timed for the rate) supplies phase attribution.
+    the timing covers only the policy-dependent replay loop.  Rates are
+    best-of-N over plain replays; :func:`replay_phases` splits each
+    policy's replay into phases.
     """
+    from repro.cache.replacement import make_policy
     from repro.eval.runner import prepare_workload, replay
     from repro.eval.workloads import EvalConfig
-    from repro.telemetry.perf import PhaseProfile
 
     spec = _merged(REPLAY_BENCH, spec)
     config = EvalConfig(scale=spec["scale"],
@@ -203,9 +418,9 @@ def bench_replay(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
         rates[policy] = round(
             _best_rate(run, len(prepared.llc_records), repeats), 1
         )
-        profile = PhaseProfile("replay")
-        replay(prepared, policy, profile=profile)
-        phases[policy] = profile.as_dict()
+        phases[policy] = replay_phases(
+            prepared, partial(make_policy, policy)
+        ).as_dict()
     return {
         "bench": "replay",
         "schema": BENCH_SCHEMA_VERSION,
@@ -271,7 +486,6 @@ def bench_overhead(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
     from repro.cache.replacement import make_policy
     from repro.eval.runner import prepare_workload, replay
     from repro.eval.workloads import EvalConfig
-    from repro.telemetry.perf import PhaseProfile
     from repro.telemetry.registry import NULL_REGISTRY
     from repro.telemetry.spans import NULL_SPAN
 
@@ -328,17 +542,6 @@ def bench_overhead(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
     checks["telemetry_disabled_identity"] = {
         "value": 1.0 if identity else 0.0, "budget": None, "ok": identity,
         "unit": "identity",
-    }
-
-    # Attribution profiler: bit-identical results and phase sum within 1%
-    # of the loop wall time.
-    profile = PhaseProfile("replay")
-    profiled_result = replay(prepared, "lru", profile=profile)
-    error = profile.reconciliation()["relative_error"]
-    parity = profiled_result == result and error <= 0.01
-    checks["profiler_parity"] = {
-        "value": round(error, 6), "budget": 0.01, "ok": parity,
-        "unit": "phase-sum relative error",
     }
 
     return {

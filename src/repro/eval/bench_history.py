@@ -20,9 +20,14 @@ The gate (:func:`compare`) is deliberately simple and reproducible:
   it).
 
 On a regression the report names the *phase* that grew the most
-(per-access ns from the attribution profiler), so "replay/rlr got 30%
-slower" arrives as "victim_scoring grew +45%", which is an actionable
-lead instead of a number.
+(per-access ns from the phase split), so "replay/rlr got 30% slower"
+arrives as "victim_scoring grew +45%", which is an actionable lead
+instead of a number.  Phases are compared only between payloads of the
+same schema: schema 2 timed them with in-loop timing proxies, schema 3 by
+differencing unprofiled runs, and the two methods do not measure the same
+thing.  A schema-3 phase record also carries the digest of the simulated
+result; when a key's digest changed, the report notes that its rate now
+times a different simulation (a note, not a failure).
 """
 
 from __future__ import annotations
@@ -316,11 +321,23 @@ def compare(current: dict, baseline: dict,
                 bench, key, rate, baseline=base_rate, delta_pct=delta_pct,
                 threshold_pct=effective * 100.0, status=status,
             ))
-            if base_payload is not None:
+            if base_payload is None:
+                continue
+            if base_payload.get("schema") == payload.get("schema"):
                 report.phase_deltas.extend(_phase_deltas(
                     bench, key, base_payload.get("phases"),
                     payload.get("phases"),
                 ))
+            old, new = (
+                ((side.get("phases") or {}).get(key) or {}).get("digest")
+                for side in (base_payload, payload)
+            )
+            if old and new and old != new:
+                report.notes.append(
+                    f"{bench}/{key} simulated a different result "
+                    f"(digest {old[:12]} -> {new[:12]}): its rate is not "
+                    f"timing the same work as the baseline's"
+                )
         # Overhead checks: absolute budgets, regression on any ok=false.
         for key in sorted(payload.get("checks", {})):
             check = payload["checks"][key]

@@ -143,6 +143,47 @@ def _instantiate(policy, num_cores: int):
     return make_policy(policy)
 
 
+def replay_loop(prepared: PreparedWorkload, access, reset_stats) -> list:
+    """Feed the recorded LLC stream to ``access``; returns per-core cycles.
+
+    ``access(record)`` answers each record with an object whose ``hit``
+    says whether the LLC held the line (:func:`replay` passes
+    ``Cache.access``), and ``reset_stats()`` runs at the warm-up boundary.
+    ``repro bench`` drives this same loop with recorded answers to time the
+    loop without a cache.
+    """
+    cycles = list(prepared.base_cycles)
+    warmup_index = prepared.warmup_index
+    stall_llc, stall_mem = prepared.stall_llc, prepared.stall_mem
+    for position, record in enumerate(prepared.llc_records):
+        if position == warmup_index:
+            reset_stats()
+        result = access(record)
+        if position >= warmup_index and record.access_type.is_demand:
+            cycles[record.core] += stall_llc if result.hit else stall_mem
+    return cycles
+
+
+def replay_result(prepared: PreparedWorkload, policy_name: str, cache,
+                  cycles: list) -> SystemResult:
+    """The :class:`SystemResult` of ``cache`` after a :func:`replay_loop`."""
+    ipc = [
+        instr / cyc if cyc > 0 else 0.0
+        for instr, cyc in zip(prepared.instructions, cycles)
+    ]
+    total_instructions = sum(prepared.instructions)
+    return SystemResult(
+        trace_name=prepared.trace_name,
+        policy_name=policy_name,
+        ipc=ipc,
+        instructions=list(prepared.instructions),
+        llc_stats=cache.stats.summary(),
+        demand_mpki=cache.stats.demand_mpki(total_instructions),
+        llc_demand_hit_rate=cache.stats.demand_hit_rate,
+        llc_hit_rate=cache.stats.hit_rate,
+    )
+
+
 def replay(
     prepared: PreparedWorkload,
     policy,
@@ -151,7 +192,6 @@ def replay(
     observers: Optional[list] = None,
     sanitize: str = None,
     decisions=None,
-    profile=None,
     violations: Optional[list] = None,
 ) -> SystemResult:
     """Replay the recorded LLC stream under ``policy``; compute IPC/stats.
@@ -170,69 +210,40 @@ def replay(
     snapshots are live (metadata maintenance does not change simulation
     results — only what observers can read).  When ``None`` (the default)
     the replay is structurally identical to a pre-tracing one.
-
-    ``profile`` is an optional :class:`repro.telemetry.perf.PhaseProfile`:
-    when given, the cache and its policy are wrapped with phase timers and
-    the loop wall time is folded in via ``profile.finish()``.  When
-    ``None`` (the default) the plain :class:`Cache` is constructed and the
-    hot loop runs the exact pre-profiler code path.
     """
     policy = _instantiate(policy, prepared.num_cores)
+    policy_name = getattr(policy, "name", "unknown")
     if decisions is not None:
         from repro.telemetry.decisions import activate
 
         detailed = True
         decisions.begin(
-            total=len(prepared.llc_records),
-            policy_name=getattr(policy, "name", "unknown"),
+            total=len(prepared.llc_records), policy_name=policy_name
         )
         activate(decisions)
     try:
         policy.bind(prepared.llc_config)
         if detailed is None:
             detailed = getattr(policy, "needs_line_metadata", True)
-        if profile is None:
-            cache = Cache(
-                prepared.llc_config,
-                policy,
-                allow_bypass=allow_bypass,
-                detailed=detailed,
-                sanitize=sanitize,
-            )
-        else:
-            from repro.telemetry.perf import make_profiled_cache
-
-            cache = make_profiled_cache(
-                prepared.llc_config,
-                policy,
-                profile,
-                allow_bypass=allow_bypass,
-                detailed=detailed,
-                sanitize=sanitize,
-            )
+        cache = Cache(
+            prepared.llc_config,
+            policy,
+            allow_bypass=allow_bypass,
+            detailed=detailed,
+            sanitize=sanitize,
+        )
         for observer in observers or []:
             cache.add_decision_observer(observer)
         if decisions is not None:
             cache.add_decision_observer(decisions.on_decision)
             cache.add_access_observer(decisions.on_access)
-        cycles = list(prepared.base_cycles)
-        warmup_index = prepared.warmup_index
-        stall_llc, stall_mem = prepared.stall_llc, prepared.stall_mem
-        loop_started = time.perf_counter()
         with span(
             "replay",
             workload=prepared.trace_name,
-            policy=getattr(policy, "name", "unknown"),
+            policy=policy_name,
             records=len(prepared.llc_records),
         ):
-            for position, record in enumerate(prepared.llc_records):
-                if position == warmup_index:
-                    cache.reset_stats()
-                result = cache.access(record)
-                if position >= warmup_index and record.access_type.is_demand:
-                    cycles[record.core] += stall_llc if result.hit else stall_mem
-        if profile is not None:
-            profile.finish(time.perf_counter() - loop_started)
+            cycles = replay_loop(prepared, cache.access, cache.reset_stats)
         if violations is not None:
             violations.extend(cache.violations)
     finally:
@@ -240,21 +251,7 @@ def replay(
             from repro.telemetry.decisions import deactivate
 
             deactivate(decisions)
-    ipc = [
-        instr / cyc if cyc > 0 else 0.0
-        for instr, cyc in zip(prepared.instructions, cycles)
-    ]
-    total_instructions = sum(prepared.instructions)
-    return SystemResult(
-        trace_name=prepared.trace_name,
-        policy_name=getattr(policy, "name", "unknown"),
-        ipc=ipc,
-        instructions=list(prepared.instructions),
-        llc_stats=cache.stats.summary(),
-        demand_mpki=cache.stats.demand_mpki(total_instructions),
-        llc_demand_hit_rate=cache.stats.demand_hit_rate,
-        llc_hit_rate=cache.stats.hit_rate,
-    )
+    return replay_result(prepared, policy_name, cache, cycles)
 
 
 def _memory_cache(eval_config) -> dict:

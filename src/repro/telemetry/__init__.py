@@ -9,9 +9,9 @@ parallel evaluation).  Three pieces:
   across worker counts);
 * **span tracing** (:mod:`repro.telemetry.spans`): ``with span("name",
   key=value): ...`` appends timed JSONL events to the run directory;
-* **phase attribution** (:mod:`repro.telemetry.perf`): an opt-in
-  :class:`PhaseProfile` splits one replay's wall time into exclusive
-  phases (``repro bench``).
+* **phase attribution** (:mod:`repro.telemetry.perf`): the
+  :class:`PhaseProfile` record of ``repro bench``, which splits a replay's
+  wall time into phases by differencing unprofiled runs.
 
 Telemetry is **off by default** and the disabled path is engineered to be
 free: ``get_registry()`` returns a shared null registry and ``span()``
@@ -37,7 +37,6 @@ from repro.telemetry.perf import (
     PhaseProfile,
     capture_collapsed,
     collapse_profile,
-    profile_structures,
 )
 from repro.telemetry.registry import (
     MAGNITUDE_BUCKETS,
@@ -50,7 +49,6 @@ from repro.telemetry.registry import (
     empty_snapshot,
     merge_snapshots,
     metric_key,
-    split_metric_key,
 )
 from repro.telemetry.spans import (
     NULL_SPAN,
@@ -83,11 +81,9 @@ __all__ = [
     "is_enabled",
     "merge_snapshots",
     "metric_key",
-    "profile_structures",
     "read_spans",
     "shutdown",
     "span",
-    "split_metric_key",
     "summarize_spans",
 ]
 

@@ -1,4 +1,4 @@
-"""Surfacing: ``metrics.json``, plain-text tables, Prometheus exposition.
+"""Surfacing: ``metrics.json`` and plain-text tables.
 
 ``metrics.json`` (written into the run directory by ``repro sweep
 --metrics`` and rendered by ``repro metrics <run-dir>``) separates the
@@ -21,19 +21,16 @@ deterministic sections from wall-clock data:
 
 ``counters``/``gauges``/``histograms`` are pure functions of simulation
 results and merge deterministically (``--jobs 1`` == ``--jobs 4``, byte
-for byte); ``timings``/``ops``/``meta`` are observability-only.  The
-Prometheus exporter renders the same payload in text exposition format
-(``repro metrics <run-dir> --prometheus``).
+for byte); ``timings``/``ops``/``meta`` are observability-only.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
 from repro.runs.atomic import atomic_write_text
-from repro.telemetry.registry import deterministic_digest, split_metric_key
+from repro.telemetry.registry import deterministic_digest
 
 SCHEMA_VERSION = 1
 
@@ -202,64 +199,4 @@ def render_metrics(payload: dict) -> str:
                                    title="reliability ops"))
     return "\n\n".join(blocks) if blocks else "(no metrics recorded)"
 
-
-# -- Prometheus text exposition ------------------------------------------------
-
-
-def _prom_name(name: str) -> str:
-    return re.sub(r"[^a-zA-Z0-9_:]", "_", f"repro_{name}")
-
-
-def _prom_labels(labels: dict, extra: dict = None) -> str:
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
-        return ""
-    inner = ",".join(
-        f'{re.sub(r"[^a-zA-Z0-9_]", "_", k)}="{v}"'
-        for k, v in sorted(merged.items())
-    )
-    return "{" + inner + "}"
-
-
-def to_prometheus(payload: dict) -> str:
-    """Render a payload in Prometheus text exposition format 0.0.4."""
-    lines = []
-    typed = set()
-
-    def emit(name, labels, value, prom_type, extra=None):
-        prom = _prom_name(name)
-        if prom not in typed:
-            lines.append(f"# TYPE {prom} {prom_type}")
-            typed.add(prom)
-        lines.append(f"{prom}{_prom_labels(labels, extra)} {value}")
-
-    for key, value in sorted(payload.get("counters", {}).items()):
-        name, labels = split_metric_key(key)
-        emit(name + "_total", labels, value, "counter")
-    for key, value in sorted(payload.get("gauges", {}).items()):
-        name, labels = split_metric_key(key)
-        emit(name, labels, value, "gauge")
-    for key, hist in sorted(payload.get("histograms", {}).items()):
-        name, labels = split_metric_key(key)
-        prom = _prom_name(name)
-        if prom not in typed:
-            lines.append(f"# TYPE {prom} histogram")
-            typed.add(prom)
-        cumulative = 0
-        for bound, count in zip(hist["bounds"], hist["counts"]):
-            cumulative += count
-            lines.append(
-                f"{prom}_bucket{_prom_labels(labels, {'le': bound})} {cumulative}"
-            )
-        lines.append(
-            f"{prom}_bucket{_prom_labels(labels, {'le': '+Inf'})}"
-            f" {hist['count']}"
-        )
-        lines.append(f"{prom}_sum{_prom_labels(labels)} {hist['sum']}")
-        lines.append(f"{prom}_count{_prom_labels(labels)} {hist['count']}")
-    for key, value in sorted(payload.get("ops", {}).items()):
-        emit(f"ops_{key}_total", {}, value, "counter")
-    return "\n".join(lines) + "\n"
 

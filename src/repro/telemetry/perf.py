@@ -1,113 +1,116 @@
-"""Phase attribution: where replay wall time actually goes.
+"""Phase attribution: where replay wall time goes.
 
-The vectorized-kernel roadmap item needs more than an accesses/sec number —
-it needs to know *which* hot-path phase to attack.  This module splits the
-replay loop's wall time into named, mutually exclusive phases:
+``repro bench`` splits each policy's replay into phases without a
+profiler: it times the one engine, unprofiled, in a chain of runs over one
+prepared stream (:mod:`repro.eval.bench` builds them).  Each run adds one
+thing to the run before it, and the time it adds is its phase:
 
 =====================  =======================================================
-phase                  meaning
+phase                  what its run adds to the run before
 =====================  =======================================================
-``trace_decode``       loop overhead outside ``cache.access`` (iteration,
-                       warm-up bookkeeping, cycle accumulation)
-``tag_lookup``         ``cache.access`` minus everything attributed below
-                       (set indexing, tag match, recency/stats maintenance)
-``victim_scoring``     ``policy.victim``
-``policy_update``      the ``on_hit``/``on_miss``/``on_evict``/``on_fill``
-                       (``on_admit`` for objcache) policy hooks
-``admission``          admission ``record`` + ``admit`` (objcache only)
-``telemetry``          registered access/decision observers
+``trace_decode``       nothing: the replay loop alone, fed the recorded
+                       answers instead of a cache (``ObjectCache.replay``'s
+                       request loop for the object cache)
+``tag_lookup``         the engine, with the recorded victims replayed and
+                       no-op policy hooks (the object cache also replays the
+                       recorded admission verdicts)
+``policy_update``      the real policy's hooks (``on_hit``/``on_miss``/
+                       ``on_evict``/``on_fill``; ``on_admit``/``on_hit``/
+                       ``on_evict`` for the object cache)
+``victim_scoring``     the real policy's ``victim``, ``sanitize="off"``
+``admission``          the real admission hook, ``record`` + ``admit``
+                       (object cache only)
+``sanitize``           the configured sanitizer mode
 =====================  =======================================================
 
-Accounting is *subtractive*: raw timers nest (``victim`` inside ``access``
-inside the loop) and :meth:`PhaseProfile.finish` derives exclusive phases so
-the phase sum equals the measured loop wall time exactly (modulo a clamp of
-float-epsilon negatives).  Timings are noisy; the phase *structure* — names,
-call counts, access count — is a pure function of the deterministic
-simulation, so :meth:`PhaseProfile.structure_digest` excludes every timing
-field and is byte-identical across repeats, machines, and worker counts.
-
-The profiled wrappers are opt-in and additive: ``replay(..., profile=None)``
-(the default) constructs the plain :class:`~repro.cache.cache.Cache` and the
-hot loop is untouched.  ``ProfiledCache``/``ProfiledObjectCache`` change
-*when* things are measured, never *what* is computed — the differential
-tests assert bit-identical simulation results against the unprofiled path.
+:class:`PhaseProfile` is the record: it reduces timed rounds of those runs
+to per-phase seconds whose sum is the replay's wall time, with each
+phase's spread over the rounds.  Timings are noisy; the *structure* (phase
+names, call counts, access count and the digest of the simulated result)
+is a pure function of the deterministic simulation, so
+:meth:`PhaseProfile.structure_digest` excludes every timing field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
+
+#: Each engine's chain of runs, named by the phase each run adds.
+ENGINES = {
+    "replay": ("trace_decode", "tag_lookup", "policy_update",
+               "victim_scoring", "sanitize"),
+    "objcache": ("trace_decode", "tag_lookup", "policy_update",
+                 "victim_scoring", "admission", "sanitize"),
+}
 
 #: The closed phase taxonomy (docs/observability.md mirrors this table).
-PHASES = (
-    "trace_decode",
-    "tag_lookup",
-    "victim_scoring",
-    "policy_update",
-    "admission",
-    "telemetry",
-)
-
-ENGINES = ("replay", "objcache")
+PHASES = ENGINES["objcache"]
 
 
 class PhaseProfile:
-    """Accumulates raw nested timers; ``finish()`` derives exclusive phases.
+    """One replay's wall time split into phases, reduced from timed rounds.
 
-    One instance profiles one replay (or one object-cache replay).  ``raw``
-    holds inclusive accumulators; ``calls`` holds deterministic invocation
-    counts per phase; ``phases`` (after :meth:`finish`) holds the exclusive
-    seconds whose sum reconciles with ``loop_seconds``.
+    A round times every run of the engine's chain once (:data:`ENGINES`).
+    Run ``k`` adds phase ``k`` to run ``k - 1``, so within a round a phase
+    is the difference of two adjacent runs and the phases add up to the
+    last run exactly.  :meth:`reduce` keeps the faster half of the rounds
+    by that total and averages every phase over them: the reported phases
+    sum to the reported ``loop_seconds``.  ``spread`` holds each phase's
+    interquartile range over all the rounds.
+
+    ``calls`` counts what each phase did in the replay (evictions for
+    ``victim_scoring``, hook calls for ``policy_update``, ...) and
+    ``digest`` names the simulated result every run reproduced.
     """
 
-    def __init__(self, engine: str) -> None:
+    def __init__(self, engine: str, accesses: int = 0, calls: dict = None,
+                 digest: str = None) -> None:
         if engine not in ENGINES:
             raise ValueError(
-                f"unknown profile engine {engine!r}; expected one of {ENGINES}"
+                f"unknown profile engine {engine!r}; expected one of "
+                f"{tuple(ENGINES)}"
             )
         self.engine = engine
-        self.accesses = 0
+        self.accesses = accesses
+        self.calls = dict(calls or {})
+        self.digest = digest
         self.loop_seconds = 0.0
-        self.raw = {
-            "access": 0.0,
-            "victim": 0.0,
-            "hooks": 0.0,
-            "observers": 0.0,
-            "admission": 0.0,
-        }
-        self.calls = {}
         self.phases = {}
+        self.spread = {}
 
-    def count(self, phase: str, n: int = 1) -> None:
-        self.calls[phase] = self.calls.get(phase, 0) + n
+    def reduce(self, rounds) -> None:
+        """Derive the phases from ``rounds``: per round, the seconds of
+        every run in chain order."""
+        # Imported here: ``statistics`` pulls in ``decimal`` and
+        # ``fractions``, and every process that imports telemetry would
+        # carry them.
+        from statistics import fmean
 
-    def finish(self, loop_seconds: float) -> None:
-        """Fold one timed loop into the profile and (re)derive phases.
-
-        Accumulative: a cache replayed twice calls ``finish`` twice and the
-        profile covers both loops.  Exclusive phases are derived so that
-        ``sum(phases) == loop_seconds`` exactly — each subtraction removes
-        a timer that nests inside the minuend — with negatives (possible
-        only through float rounding) clamped to zero.
-        """
-        self.loop_seconds += loop_seconds
-        raw = self.raw
-        inside_access = (
-            raw["victim"] + raw["hooks"] + raw["observers"] + raw["admission"]
-        )
-        phases = {
-            "trace_decode": max(0.0, self.loop_seconds - raw["access"]),
-            "tag_lookup": max(0.0, raw["access"] - inside_access),
-            "victim_scoring": raw["victim"],
-            "policy_update": raw["hooks"],
-            "telemetry": raw["observers"],
+        chain = ENGINES[self.engine]
+        differences = []
+        for runs in rounds:
+            if len(runs) != len(chain):
+                raise ValueError(
+                    f"a {self.engine} round times {len(chain)} runs, "
+                    f"got {len(runs)}"
+                )
+            differences.append(
+                [run - below for run, below in zip(runs, [0.0, *runs])]
+            )
+        kept = sorted(range(len(rounds)), key=lambda index: rounds[index][-1])
+        kept = kept[:(len(kept) + 1) // 2]
+        self.loop_seconds = fmean(rounds[index][-1] for index in kept)
+        self.phases = {
+            phase: fmean(differences[index][position] for index in kept)
+            for position, phase in enumerate(chain)
         }
-        if self.engine == "objcache":
-            phases["admission"] = raw["admission"]
-        self.calls["trace_decode"] = self.accesses
-        self.calls["tag_lookup"] = self.accesses
-        self.phases = phases
+        self.spread = {
+            phase: _interquartile_range(
+                [difference[position] for difference in differences]
+            )
+            for position, phase in enumerate(chain)
+        }
 
     # -- reporting ---------------------------------------------------------
 
@@ -130,6 +133,7 @@ class PhaseProfile:
         return {
             "engine": self.engine,
             "accesses": self.accesses,
+            "digest": self.digest,
             "loop_seconds": round(self.loop_seconds, 9),
             "reconciliation": self.reconciliation(),
             "phases": {
@@ -137,6 +141,7 @@ class PhaseProfile:
                     "seconds": round(seconds, 9),
                     "calls": self.calls.get(name, 0),
                     "per_access_ns": round(seconds * per_access, 1),
+                    "spread_ns": round(self.spread[name] * per_access, 1),
                 }
                 for name, seconds in sorted(self.phases.items())
             },
@@ -147,6 +152,7 @@ class PhaseProfile:
         return {
             "engine": self.engine,
             "accesses": self.accesses,
+            "digest": self.digest,
             "calls": {name: self.calls[name] for name in sorted(self.calls)},
             "phases": sorted(self.phases),
         }
@@ -159,270 +165,13 @@ class PhaseProfile:
         return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-# -- CPU cache path -----------------------------------------------------------
+def _interquartile_range(values: list) -> float:
+    from statistics import quantiles
 
-
-class _TimedPolicy:
-    """Timing proxy around a CPU policy.
-
-    Only the hot-path contract methods are intercepted; everything else
-    (``bind``, ``name``, ``needs_line_metadata``, ...) delegates, so the
-    proxy is behaviourally transparent.
-    """
-
-    def __init__(self, inner, profile: PhaseProfile) -> None:
-        self._inner = inner
-        self._profile = profile
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def victim(self, set_index, cache_set, access):
-        profile = self._profile
-        started = time.perf_counter()
-        way = self._inner.victim(set_index, cache_set, access)
-        profile.raw["victim"] += time.perf_counter() - started
-        profile.count("victim_scoring")
-        return way
-
-    def on_hit(self, set_index, way, line, access):
-        profile = self._profile
-        started = time.perf_counter()
-        self._inner.on_hit(set_index, way, line, access)
-        profile.raw["hooks"] += time.perf_counter() - started
-        profile.count("policy_update")
-
-    def on_miss(self, set_index, access):
-        profile = self._profile
-        started = time.perf_counter()
-        self._inner.on_miss(set_index, access)
-        profile.raw["hooks"] += time.perf_counter() - started
-        profile.count("policy_update")
-
-    def on_evict(self, set_index, way, line, access):
-        profile = self._profile
-        started = time.perf_counter()
-        self._inner.on_evict(set_index, way, line, access)
-        profile.raw["hooks"] += time.perf_counter() - started
-        profile.count("policy_update")
-
-    def on_fill(self, set_index, way, line, access):
-        profile = self._profile
-        started = time.perf_counter()
-        self._inner.on_fill(set_index, way, line, access)
-        profile.raw["hooks"] += time.perf_counter() - started
-        profile.count("policy_update")
-
-
-def _timed_observer(callback, profile: PhaseProfile):
-    def timed(*args):
-        started = time.perf_counter()
-        callback(*args)
-        profile.raw["observers"] += time.perf_counter() - started
-        profile.count("telemetry")
-
-    return timed
-
-
-def make_profiled_cache(config, policy, profile, **kwargs):
-    """A :class:`~repro.cache.cache.Cache` with per-phase timers attached.
-
-    Identical simulation behaviour (the differential test replays the same
-    stream through both and asserts bit-identical results); the only
-    difference is that ``access``, the policy, and any attached observers
-    are bracketed with ``perf_counter`` feeding ``profile``.  Imported and
-    subclassed at call time so this module never imports the cache layer
-    at import time (the cache layer imports telemetry).
-    """
-    from repro.cache.cache import Cache
-
-    class ProfiledCache(Cache):
-        def __init__(self):
-            # The contract check runs inside Cache.access, so its cost is
-            # booked to the engine's own phases, not to the policy's.
-            super().__init__(config, policy, **kwargs)
-            self.profile = profile
-            self.policy = _TimedPolicy(self.policy, profile)
-
-        def access(self, access):
-            started = time.perf_counter()
-            result = super().access(access)
-            profile.raw["access"] += time.perf_counter() - started
-            profile.accesses += 1
-            return result
-
-        def add_access_observer(self, callback):
-            super().add_access_observer(_timed_observer(callback, profile))
-
-        def add_decision_observer(self, callback):
-            super().add_decision_observer(_timed_observer(callback, profile))
-
-    return ProfiledCache()
-
-
-# -- object cache path --------------------------------------------------------
-
-
-class _TimedObjectPolicy:
-    """Timing proxy for object policies (``victim`` and the lifecycle hooks)."""
-
-    def __init__(self, inner, profile: PhaseProfile) -> None:
-        self._inner = inner
-        self._profile = profile
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def victim(self, residents, incoming, now):
-        profile = self._profile
-        started = time.perf_counter()
-        key = self._inner.victim(residents, incoming, now)
-        profile.raw["victim"] += time.perf_counter() - started
-        profile.count("victim_scoring")
-        return key
-
-    def on_admit(self, obj, now):
-        profile = self._profile
-        started = time.perf_counter()
-        self._inner.on_admit(obj, now)
-        profile.raw["hooks"] += time.perf_counter() - started
-        profile.count("policy_update")
-
-    def on_hit(self, obj, now):
-        profile = self._profile
-        started = time.perf_counter()
-        self._inner.on_hit(obj, now)
-        profile.raw["hooks"] += time.perf_counter() - started
-        profile.count("policy_update")
-
-    def on_evict(self, obj, now):
-        profile = self._profile
-        started = time.perf_counter()
-        self._inner.on_evict(obj, now)
-        profile.raw["hooks"] += time.perf_counter() - started
-        profile.count("policy_update")
-
-
-class _TimedAdmission:
-    """Timing proxy for admission hooks (``record`` + ``admit``)."""
-
-    def __init__(self, inner, profile: PhaseProfile) -> None:
-        self._inner = inner
-        self._profile = profile
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def record(self, request, now):
-        profile = self._profile
-        started = time.perf_counter()
-        self._inner.record(request, now)
-        profile.raw["admission"] += time.perf_counter() - started
-        profile.count("admission")
-
-    def admit(self, request, now):
-        profile = self._profile
-        started = time.perf_counter()
-        verdict = self._inner.admit(request, now)
-        profile.raw["admission"] += time.perf_counter() - started
-        profile.count("admission")
-        return verdict
-
-
-def make_profiled_object_cache(capacity_bytes, policy, profile,
-                               admission=None):
-    """An :class:`~repro.objcache.cache.ObjectCache` with phase timers.
-
-    ``replay`` additionally brackets the whole request loop and calls
-    :meth:`PhaseProfile.finish`, so a single ``cache.replay(requests)`` is
-    a complete profiled run.
-    """
-    from repro.objcache.cache import ObjectCache
-
-    class ProfiledObjectCache(ObjectCache):
-        def __init__(self):
-            super().__init__(capacity_bytes, policy, admission=admission)
-            self.profile = profile
-            self.policy = _TimedObjectPolicy(self.policy, profile)
-            self.admission = _TimedAdmission(self.admission, profile)
-
-        def access(self, request):
-            started = time.perf_counter()
-            hit = super().access(request)
-            profile.raw["access"] += time.perf_counter() - started
-            profile.accesses += 1
-            return hit
-
-        def replay(self, requests):
-            started = time.perf_counter()
-            stats = super().replay(requests)
-            profile.finish(time.perf_counter() - started)
-            return stats
-
-        def add_decision_observer(self, observer):
-            super().add_decision_observer(_timed_observer(observer, profile))
-
-    return ProfiledObjectCache()
-
-
-# -- determinism harness ------------------------------------------------------
-
-
-def _structure_cell(cell: dict) -> dict:
-    """Worker: profile one (engine, policy) cell, return its structure.
-
-    Module-level so :func:`profile_structures` can fan out over a process
-    pool; ``cell`` is a plain dict of primitives for picklability.  The
-    :class:`PhaseProfile` constructor rejects an engine it cannot attribute.
-    """
-    profile = PhaseProfile(cell["engine"])
-    if profile.engine == "replay":
-        from repro.eval.runner import prepare_workload, replay
-        from repro.eval.workloads import EvalConfig
-
-        config = EvalConfig(
-            scale=cell.get("scale", 64),
-            trace_length=cell.get("trace_length", 1500),
-            seed=cell.get("seed", 7),
-        )
-        trace = config.trace(cell.get("workload", "429.mcf"))
-        prepared = prepare_workload(config, trace)
-        replay(prepared, cell.get("policy", "lru"), profile=profile)
-        return profile.structure()
-    from repro.objcache import generate_object_trace, make_object_policy
-
-    trace = generate_object_trace(
-        name="perf-cell", kind="zipf",
-        objects=cell.get("objects", 400),
-        length=cell.get("length", 2000),
-        seed=cell.get("seed", 7), alpha=cell.get("alpha", 1.0),
-        sizes={"dist": "lognormal", "min": 256, "max": 1 << 16,
-               "correlate": "inverse"},
-    )
-    cache = make_profiled_object_cache(
-        cell.get("capacity_bytes", 1_000_000),
-        make_object_policy(cell.get("policy", "lru")),
-        profile,
-    )
-    cache.replay(trace.requests)
-    return profile.structure()
-
-
-def profile_structures(cells, jobs: int = 1) -> list:
-    """Phase structures for ``cells``, optionally across worker processes.
-
-    The determinism contract this exists to test: the returned structures
-    (and their digests) are byte-identical whatever ``jobs`` is — phase
-    structure is simulation behaviour, and simulation behaviour does not
-    depend on which process ran it.
-    """
-    cells = list(cells)
-    if jobs <= 1:
-        return [_structure_cell(cell) for cell in cells]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_structure_cell, cells))
+    if len(values) < 2:
+        return 0.0
+    first, _, third = quantiles(values, n=4, method="inclusive")
+    return third - first
 
 
 # -- flamegraph capture -------------------------------------------------------

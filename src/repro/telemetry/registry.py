@@ -45,19 +45,6 @@ def metric_key(name: str, labels: dict) -> str:
     return f"{name}{{{encoded}}}"
 
 
-def split_metric_key(key: str):
-    """Inverse of :func:`metric_key`: ``(name, labels_dict)``."""
-    if not key.endswith("}") or "{" not in key:
-        return key, {}
-    name, _, encoded = key.partition("{")
-    labels = {}
-    for pair in encoded[:-1].split(","):
-        if "=" in pair:
-            label, _, value = pair.partition("=")
-            labels[label] = value
-    return name, labels
-
-
 class Counter:
     """A monotonically increasing integer."""
 

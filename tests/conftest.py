@@ -5,10 +5,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.cache import Cache, CacheConfig
 from repro.cache.replacement import make_policy
 from repro.traces import AccessType, TraceRecord
+
+#: The CI fuzz steps run with ``--hypothesis-profile=fuzz``.  On CI,
+#: Hypothesis otherwise loads its built-in ``ci`` profile, which
+#: derandomizes: every run, and every case of a parametrized test, would
+#: draw the same examples.  A failure prints its ``@reproduce_failure``
+#: blob, which is what reproduces it (a pinned ``--hypothesis-seed`` would
+#: also give every parametrized case the same examples).
+settings.register_profile("fuzz", derandomize=False, print_blob=True)
 
 
 @pytest.fixture

@@ -25,10 +25,10 @@ from repro.eval.bench_history import (
 
 
 def payload(bench="replay", rates=None, phases=None, checks=None,
-            sha="a" * 40, dirty=False):
+            sha="a" * 40, dirty=False, schema=2):
     body = {
         "bench": bench,
-        "schema": 2,
+        "schema": schema,
         "unit": "units/sec",
         "repeats": 1,
         "environment": {
@@ -43,11 +43,14 @@ def payload(bench="replay", rates=None, phases=None, checks=None,
     return body
 
 
-def phase_block(**per_access_ns):
-    return {"phases": {
+def phase_block(digest=None, **per_access_ns):
+    block = {"phases": {
         name: {"seconds": ns / 1e9, "calls": 1, "per_access_ns": ns}
         for name, ns in per_access_ns.items()
     }}
+    if digest is not None:
+        block["digest"] = digest
+    return block
 
 
 class TestHistoryLog:
@@ -231,6 +234,44 @@ class TestCompare:
         assert "slowest-growing phase: victim_scoring" in text
         assert "per-phase deltas (ns/access)" in text
         assert "tag_lookup" in text  # the full table, not just the blame
+
+    def test_phases_of_another_schema_are_not_compared(self):
+        """A schema-2 baseline timed its phases with in-loop proxies, a
+        schema-3 run by differencing plain runs: the rates still gate, but
+        no phase is blamed across the two methods."""
+        baseline = {"replay": payload(
+            rates={"lru": 1000.0},
+            phases={"lru": phase_block(tag_lookup=50.0,
+                                       victim_scoring=100.0)},
+        )}
+        current = {"replay": payload(
+            rates={"lru": 600.0}, schema=3,
+            phases={"lru": phase_block(tag_lookup=55.0,
+                                       victim_scoring=240.0)},
+        )}
+        report = compare(current, baseline)
+        assert not report.ok
+        assert report.phase_deltas == []
+        assert report.worst_phase("replay", "lru") is None
+        assert "per-phase deltas" not in report.format()
+
+    def test_changed_digest_is_noted_not_gated(self):
+        baseline = {"replay": payload(
+            rates={"lru": 1000.0, "rlr": 800.0}, schema=3,
+            phases={"lru": phase_block(digest="a" * 64, tag_lookup=50.0),
+                    "rlr": phase_block(digest="c" * 64, tag_lookup=60.0)},
+        )}
+        current = {"replay": payload(
+            rates={"lru": 1000.0, "rlr": 800.0}, schema=3,
+            phases={"lru": phase_block(digest="b" * 64, tag_lookup=50.0),
+                    "rlr": phase_block(digest="c" * 64, tag_lookup=60.0)},
+        )}
+        report = compare(current, baseline)
+        assert report.ok
+        (note,) = report.notes
+        assert "replay/lru" in note and "different result" in note
+        assert "aaaaaaaaaaaa -> bbbbbbbbbbbb" in note
+        assert report.format().endswith("PASS")
 
     def test_baseline_bench_not_run_is_noted_not_gated(self):
         baseline = {

@@ -58,6 +58,9 @@ class TestReplayFamily:
             assert report["engine"] == "replay"
             assert report["reconciliation"]["relative_error"] <= 0.01
             assert "victim_scoring" in report["phases"]
+            assert len(report["digest"]) == 64
+            for phase in report["phases"].values():
+                assert "spread_ns" in phase
 
 
 class TestObjcacheFamily:
@@ -89,7 +92,7 @@ class TestOverheadFamily:
         assert_observatory_envelope(payload, "overhead")
         assert set(payload["checks"]) == {
             "telemetry_hooks_disabled", "decision_observer_loop",
-            "telemetry_disabled_identity", "profiler_parity",
+            "telemetry_disabled_identity",
         }
         for name, check in payload["checks"].items():
             assert check["ok"], f"budget check {name} busted: {check}"
@@ -111,7 +114,7 @@ class TestValidateBench:
                                     repeats=1, spec=TINY_REPLAY)
         report = validate_bench_file(path)
         assert report.ok, report.format()
-        assert "schema 2" in report.summary
+        assert f"schema {bench_mod.BENCH_SCHEMA_VERSION}" in report.summary
 
     def test_schema_problems_fail_validation(self, tmp_path):
         path = tmp_path / "BENCH_replay.json"

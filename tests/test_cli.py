@@ -217,13 +217,6 @@ class TestMetricsCommand:
         assert "spans (spans.jsonl)" in out
         assert "replay" in out
 
-    def test_prometheus_output(self, capsys, tmp_path):
-        run_dir = self._sweep(capsys, tmp_path)
-        code, out = run_cli(capsys, "metrics", str(run_dir), "--prometheus")
-        assert code == 0
-        assert "# TYPE repro_sweep_cells_ok_total counter" in out
-        assert "repro_sweep_cells_ok_total 10" in out
-
     def test_missing_run_is_clean_error(self, capsys):
         code, out = run_cli(capsys, "metrics", "run-9999")
         assert code == 2

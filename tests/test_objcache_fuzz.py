@@ -7,7 +7,8 @@ admission/eviction contract wrappers must record zero violations, and the
 canonical report must be byte-identical across worker counts.
 
 The CI ``objcache-smoke`` job runs this file with a larger example budget
-(``REPRO_FUZZ_EXAMPLES``) and a pinned ``--hypothesis-seed``.
+(``REPRO_FUZZ_EXAMPLES``) under the ``fuzz`` profile, so every run draws
+fresh examples; a failure prints its ``@reproduce_failure`` blob.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ Hypothesis streams drive one ``ObjectCache`` with each policy. The table
 cases pin the §IV rule itself on a tiny cache, for both implementations.
 The CI ``objcache-smoke`` job runs this file a second time beside the
 object-cache fuzzer, at its example budget (``REPRO_FUZZ_EXAMPLES``) and
-with a pinned ``--hypothesis-seed``.
+under the ``fuzz`` profile, so every run draws fresh examples.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ Two properties, asserted for *every* generated scenario document:
   sample rates 1 and 4.
 
 The CI ``scenario-fuzz`` job runs this file with a larger example budget
-(``REPRO_FUZZ_EXAMPLES`` overrides every test's ``max_examples``) and a
-pinned ``--hypothesis-seed``; ``print_blob=True`` makes every failure
-reproducible from the printed ``@reproduce_failure`` blob.
+(``REPRO_FUZZ_EXAMPLES`` overrides every test's ``max_examples``) under
+the ``fuzz`` profile, so every run draws fresh examples;
+``print_blob=True`` makes every failure reproducible from the printed
+``@reproduce_failure`` blob.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tests for metrics.json, validation, rendering, and Prometheus text."""
+"""Tests for metrics.json, validation and rendering."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.telemetry.export import (
     load_metrics_json,
     payload_digest,
     render_metrics,
-    to_prometheus,
     validate_metrics,
     write_metrics_json,
 )
@@ -129,33 +128,3 @@ class TestRenderMetrics:
     def test_quiet_ops_omitted(self):
         payload = build_payload("sweep", {}, ops={"timeouts": 0, "crashes": 0})
         assert "reliability ops" not in render_metrics(payload)
-
-
-class TestPrometheus:
-    def test_counter_rendering(self):
-        text = to_prometheus(_sample_payload())
-        assert "# TYPE repro_cache_hits_total counter" in text
-        assert ('repro_cache_hits_total{level="llc",policy="lru"} 123'
-                in text)
-
-    def test_gauge_rendering(self):
-        text = to_prometheus(_sample_payload())
-        assert "# TYPE repro_rl_train_hit_rate gauge" in text
-        assert "repro_rl_train_hit_rate 0.61" in text
-
-    def test_histogram_cumulative_buckets(self):
-        text = to_prometheus(_sample_payload())
-        # Observations 0.4 and 0.9: le=0.25 -> 0, le=0.5 -> 1,
-        # le=0.75 -> 1, +Inf -> 2.
-        assert 'repro_replay_llc_hit_rate_bucket{le="0.25",policy="lru"} 0' in text
-        assert 'repro_replay_llc_hit_rate_bucket{le="0.5",policy="lru"} 1' in text
-        assert ('repro_replay_llc_hit_rate_bucket{le="+Inf",policy="lru"} 2'
-                in text)
-        assert 'repro_replay_llc_hit_rate_count{policy="lru"} 2' in text
-
-    def test_ops_exported_as_counters(self):
-        text = to_prometheus(_sample_payload())
-        assert "repro_ops_retries_total 1" in text
-
-    def test_ends_with_newline(self):
-        assert to_prometheus(_sample_payload()).endswith("\n")

@@ -12,7 +12,6 @@ from repro.telemetry.registry import (
     MetricsRegistry,
     empty_snapshot,
     metric_key,
-    split_metric_key,
 )
 
 
@@ -23,15 +22,6 @@ class TestMetricKey:
     def test_labels_sorted(self):
         key = metric_key("cache.hits", {"policy": "lru", "level": "llc"})
         assert key == "cache.hits{level=llc,policy=lru}"
-
-    def test_roundtrip(self):
-        key = metric_key("x", {"b": "2", "a": "1"})
-        name, labels = split_metric_key(key)
-        assert name == "x"
-        assert labels == {"a": "1", "b": "2"}
-
-    def test_roundtrip_no_labels(self):
-        assert split_metric_key("plain") == ("plain", {})
 
 
 class TestCounter:
