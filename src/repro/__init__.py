@@ -6,8 +6,8 @@ Public API highlights:
 * :class:`repro.core.RLRPolicy` / :class:`repro.core.RLRUnoptPolicy` — the
   paper's contribution.
 * :mod:`repro.cache` — the simulated memory hierarchy substrate.
-* :mod:`repro.cache.replacement` — LRU/DRRIP/SHiP/SHiP++/Hawkeye/KPC-R/PDP/
-  EVA/Belady baselines and the policy registry.
+* :mod:`repro.cache.replacement` — LRU/DRRIP/SHiP/SHiP++/Hawkeye/KPC-R/
+  Glider/MPPPB/Belady baselines and the policy registry.
 * :mod:`repro.rl` — the offline RL design pipeline (DQN agent, feature
   analysis, hill climbing).
 * :mod:`repro.eval` — the experiment harness regenerating every table and

@@ -13,21 +13,13 @@ from repro.cache.replacement.base import (
     register_policy,
 )
 from repro.cache.replacement.belady import BeladyPolicy
-from repro.cache.replacement.counter_based import CounterBasedPolicy
-from repro.cache.replacement.dip import BIPPolicy, DIPPolicy, LIPPolicy
-from repro.cache.replacement.eva import EVAPolicy
 from repro.cache.replacement.glider import GliderPolicy
-from repro.cache.replacement.irg import IRGPolicy
-from repro.cache.replacement.nru import NRUPolicy
 from repro.cache.replacement.hawkeye import HawkeyePolicy
 from repro.cache.replacement.kpc import KPCRPolicy
 from repro.cache.replacement.lru import LRUPolicy, MRUPolicy
 from repro.cache.replacement.mpppb import MPPPBPolicy
-from repro.cache.replacement.pdp import PDPPolicy
 from repro.cache.replacement.random_policy import RandomPolicy
 from repro.cache.replacement.rrip import BRRIPPolicy, DRRIPPolicy, SRRIPPolicy
-from repro.cache.replacement.rwp import RWPPolicy
-from repro.cache.replacement.sdbp import SDBPPolicy
 from repro.cache.replacement.ship import SHiPPolicy, SHiPPPPolicy
 
 __all__ = [
@@ -37,23 +29,13 @@ __all__ = [
     "make_policy",
     "register_policy",
     "BeladyPolicy",
-    "BIPPolicy",
-    "CounterBasedPolicy",
-    "DIPPolicy",
-    "EVAPolicy",
     "GliderPolicy",
     "MPPPBPolicy",
-    "IRGPolicy",
-    "LIPPolicy",
-    "NRUPolicy",
     "HawkeyePolicy",
     "KPCRPolicy",
     "LRUPolicy",
     "MRUPolicy",
-    "PDPPolicy",
     "RandomPolicy",
-    "RWPPolicy",
-    "SDBPPolicy",
     "BRRIPPolicy",
     "DRRIPPolicy",
     "SRRIPPolicy",

@@ -202,6 +202,15 @@ def _write_sweep_decisions(run, report, sample_rate) -> None:
           f"(drill down with: repro inspect {run.run_id})", file=sys.stderr)
 
 
+#: The sweep flags ``repro sweep --scenario`` reads, per scenario kind;
+#: the scenario file pins what the others would set.
+_SCENARIO_SWEEP_ARGS = {
+    "cpu_cache": ("jobs", "cache_dir", "decisions"),
+    "object_cache": ("jobs", "decisions", "timeout", "retries", "run_dir",
+                     "resume"),
+}
+
+
 def _cmd_sweep_scenario(args) -> int:
     """``repro sweep --scenario``: sweep one declarative scenario.
 
@@ -209,11 +218,27 @@ def _cmd_sweep_scenario(args) -> int:
     deterministic CSV report, and a size-graded object decision log that
     ``repro inspect`` renders as size-vs-victim profiles.  CPU scenarios
     delegate to the scenario runner (same output as ``repro scenario run``).
+    A flag the scenario's kind does not read is an error, not ignored.
     """
     from repro.scenarios import resolve_scenario
 
     scenario = resolve_scenario(args.scenario)
-    if getattr(scenario, "scenario_kind", "cpu_cache") != "object_cache":
+    kind = getattr(scenario, "scenario_kind", "cpu_cache")
+    # A flag counts as given when its value differs from the default.
+    reads = _SCENARIO_SWEEP_ARGS[kind]
+    defaults = build_parser().parse_args(["sweep", "--scenario",
+                                          args.scenario])
+    unread = ", ".join("--" + key.replace("_", "-")
+                       for key, default in sorted(vars(defaults).items())
+                       if key not in reads and getattr(args, key) != default)
+    if unread:
+        raise ValueError(
+            f"sweep --scenario {args.scenario} ({kind}) does not read "
+            + unread.replace("--sanitize", "--sanitize/--strict/--no-strict")
+            + " (it reads only --" + ", --".join(reads).replace("_", "-")
+            + ")"
+        )
+    if kind != "object_cache":
         from repro.scenarios import run_scenario
 
         payload = run_scenario(

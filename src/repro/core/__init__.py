@@ -10,7 +10,7 @@ from repro.core.priority import (
     type_priority,
 )
 from repro.core.rd_estimator import ReuseDistanceEstimator
-from repro.core.rlr import RLRPolicy, RLRUnoptPolicy, make_rlr_for_cores
+from repro.core.rlr import RLRPolicy, RLRUnoptPolicy
 
 __all__ = [
     "AGE_WEIGHT",
@@ -22,7 +22,6 @@ __all__ = [
     "age_priority",
     "hit_priority",
     "line_priority",
-    "make_rlr_for_cores",
     "rlr_overhead_kib",
     "table1",
     "type_priority",

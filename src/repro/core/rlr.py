@@ -29,7 +29,6 @@ from __future__ import annotations
 from repro.cache.replacement.base import BYPASS, ReplacementPolicy, register_policy
 from repro.core.priority import PriorityWeights, is_prefetch, line_priority
 from repro.core.rd_estimator import ReuseDistanceEstimator
-from repro.traces.record import AccessType
 
 
 class _RLRBase(ReplacementPolicy):
@@ -296,13 +295,6 @@ class RLRUnoptPolicy(_RLRBase):
         # share) => 40KB at 2MB/16-way.
         per_core = cls.core_counter_bits if num_cores > 1 else 0
         return config.num_lines * 10 + num_cores * per_core
-
-
-def make_rlr_for_cores(num_cores: int, optimized: bool = True) -> _RLRBase:
-    """Convenience constructor for the §IV-D multicore configuration."""
-    if optimized:
-        return RLRPolicy(num_cores=num_cores)
-    return RLRUnoptPolicy(num_cores=num_cores)
 
 
 def _make_rlr_tuned(**kwargs) -> RLRUnoptPolicy:

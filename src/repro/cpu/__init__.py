@@ -3,8 +3,7 @@
 Only the prefetchers are re-exported here: the timing/system modules import
 the cache hierarchy (which itself imports the prefetchers), so re-exporting
 them at package level would create an import cycle.  Import them by full
-path: ``repro.cpu.core_model``, ``repro.cpu.memory_model``,
-``repro.cpu.system``.
+path: ``repro.cpu.core_model`` and ``repro.cpu.system``.
 """
 
 from repro.cpu.prefetcher import (

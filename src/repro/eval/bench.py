@@ -5,8 +5,8 @@ A matrix of fixed, small, deterministic workloads, one family per engine:
 * **replay**: a CPU workload prepared once (warm prep-cache path, so pass 1
   is excluded) and its recorded LLC stream replayed per policy;
 * **objcache**: the golden object-cache scenario shape (Zipfian trace,
-  lognormal inverse-correlated sizes) per object policy, plus
-  admission-gated variants (``lru+size_threshold``, ``lru+freq_gate``);
+  lognormal inverse-correlated sizes) per object policy, plus the
+  admission-gated variant ``lru+freq_gate``;
 * **train**: one Q-learning epoch over a recorded LLC stream (records/sec);
 * **overhead**: the disabled-path budget guards (telemetry hooks, decision
   observer loops, telemetry identity) as asserted checks.
@@ -67,9 +67,9 @@ OBJCACHE_BENCH = {
     "seed": 7,
     "alpha": 1.0,
     "capacity_bytes": 12_000_000,
-    "policies": ("lru", "lru_size", "gdsf", "random_size", "rlr", "rlr_size"),
+    "policies": ("lru", "lru_size", "gdsf", "rlr", "rlr_size"),
     #: admission gates benched in front of an LRU cache (key "lru+<gate>").
-    "admissions": ("size_threshold", "freq_gate"),
+    "admissions": ("freq_gate",),
 }
 
 #: The fixed CPU replay benchmark shape.
@@ -342,12 +342,9 @@ def objcache_phases(requests, capacity_bytes: int, make_policy,
                   calls)
 
 
-def bench_objcache(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
-    """Accesses/sec of ``ObjectCache.replay`` per policy and admission gate.
-
-    Rates are best-of-N over plain replays; :func:`objcache_phases` splits
-    each variant's replay into phases.
-    """
+def _objcache_runs(spec: dict = None):
+    """The objcache bench trace and one plain replay of it per bench key:
+    a policy name, or ``lru+<gate>`` for a gate in front of LRU."""
     from repro.objcache import (
         ObjectCache,
         generate_object_trace,
@@ -362,18 +359,48 @@ def bench_objcache(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
         sizes={"dist": "lognormal", "min": 256, "max": 1 << 20,
                "correlate": "inverse"},
     )
-    variants = [(name, name, None) for name in spec["policies"]]
-    variants += [(f"lru+{gate}", "lru", gate)
-                 for gate in spec.get("admissions", ())]
-    rates, phases = {}, {}
-    for key, policy, gate in variants:
-        def run(policy=policy, gate=gate):
-            cache = ObjectCache(
-                spec["capacity_bytes"], make_object_policy(policy),
-                admission=make_admission(gate) if gate else None,
-            )
-            cache.replay(trace.requests)
 
+    def run(key):
+        policy, _, gate = key.partition("+")
+        cache = ObjectCache(
+            spec["capacity_bytes"], make_object_policy(policy),
+            admission=make_admission(gate) if gate else None,
+        )
+        cache.replay(trace.requests)
+
+    keys = list(spec["policies"])
+    keys += [f"lru+{gate}" for gate in spec.get("admissions", ())]
+    return trace, {key: partial(run, key) for key in keys}
+
+
+def _replay_runs(spec: dict = None):
+    """The replay bench stream, prepared once (the warm-prep-cache path,
+    so pass 1 stays out of the runs), and one plain replay per policy."""
+    from repro.eval.runner import prepare_workload, replay
+    from repro.eval.workloads import EvalConfig
+
+    spec = _merged(REPLAY_BENCH, spec)
+    config = EvalConfig(scale=spec["scale"],
+                        trace_length=spec["trace_length"], seed=spec["seed"])
+    prepared = prepare_workload(config, config.trace(spec["workload"]))
+    return prepared, {policy: partial(replay, prepared, policy)
+                      for policy in spec["policies"]}
+
+
+def bench_objcache(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
+    """Accesses/sec of ``ObjectCache.replay`` per policy and admission gate.
+
+    Rates are best-of-N over plain replays; :func:`objcache_phases` splits
+    each variant's replay into phases.
+    """
+    from repro.objcache import make_object_policy
+    from repro.objcache.admission import make_admission
+
+    spec = _merged(OBJCACHE_BENCH, spec)
+    trace, runs = _objcache_runs(spec)
+    rates, phases = {}, {}
+    for key, run in runs.items():
+        policy, _, gate = key.partition("+")
         rates[key] = round(_best_rate(run, len(trace.requests), repeats), 1)
         phases[key] = objcache_phases(
             trace.requests, spec["capacity_bytes"],
@@ -396,25 +423,15 @@ def bench_objcache(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
 def bench_replay(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
     """LLC accesses/sec of the pass-2 replay per CPU policy.
 
-    ``prepare_workload`` runs once up front — the warm-prep-cache path — so
-    the timing covers only the policy-dependent replay loop.  Rates are
-    best-of-N over plain replays; :func:`replay_phases` splits each
-    policy's replay into phases.
+    Rates are best-of-N over the plain replays of :func:`_replay_runs`;
+    :func:`replay_phases` splits each policy's replay into phases.
     """
     from repro.cache.replacement import make_policy
-    from repro.eval.runner import prepare_workload, replay
-    from repro.eval.workloads import EvalConfig
 
     spec = _merged(REPLAY_BENCH, spec)
-    config = EvalConfig(scale=spec["scale"],
-                        trace_length=spec["trace_length"], seed=spec["seed"])
-    trace = config.trace(spec["workload"])
-    prepared = prepare_workload(config, trace)
+    prepared, runs = _replay_runs(spec)
     rates, phases = {}, {}
-    for policy in spec["policies"]:
-        def run(policy=policy):
-            replay(prepared, policy)
-
+    for policy, run in runs.items():
         rates[policy] = round(
             _best_rate(run, len(prepared.llc_records), repeats), 1
         )
@@ -581,12 +598,18 @@ def write_bench(name: str, output_dir=".", repeats: int = DEFAULT_REPEATS,
 def capture_flamegraph(name: str, spec: dict = None) -> str:
     """One cProfile'd bench run folded into flamegraph lines.
 
-    Opt-in (``repro bench --profile``): runs the bench once (repeats=1)
-    under cProfile and returns collapsed-stack text any folded-format
-    flamegraph renderer can draw.
+    Opt-in (``repro bench --profile``).  ``replay`` and ``objcache`` profile
+    their setup and one plain run per key (the runs whose best-of-N gives
+    the rates), not the phase split; the other benches run once.  Returns
+    collapsed-stack text any folded-format flamegraph renderer can draw.
     """
     from repro.telemetry.perf import capture_collapsed
 
-    run, _ = BENCHES[name]
-    _, folded = capture_collapsed(lambda: run(repeats=1, spec=spec))
-    return folded
+    plain_runs = {"replay": _replay_runs, "objcache": _objcache_runs}.get(name)
+    if plain_runs is None:
+        target = partial(BENCHES[name][0], repeats=1, spec=spec)
+    else:
+        def target():
+            for run in plain_runs(spec)[1].values():
+                run()
+    return capture_collapsed(target)[1]

@@ -68,28 +68,6 @@ class AlwaysAdmit(AdmissionHook):
 
 
 @register_admission
-class SizeThresholdAdmission(AdmissionHook):
-    """Reject objects larger than ``max_size`` bytes.
-
-    The crudest one-hit-wonder filter: in heavy-tailed size distributions
-    the largest objects displace the most residents per admission, so a
-    static ceiling already recovers much of the admission win.
-    """
-
-    name = "size_threshold"
-
-    def __init__(self, max_size: int = 1 << 20):
-        if max_size <= 0:
-            raise ObjectCacheError(
-                f"size_threshold max_size must be positive, got {max_size}"
-            )
-        self.max_size = max_size
-
-    def admit(self, request, now):
-        return request.size <= self.max_size
-
-
-@register_admission
 class FrequencyGateAdmission(AdmissionHook):
     """TinyLFU-style frequency gate: admit on the ``threshold``-th sighting.
 

@@ -15,7 +15,6 @@ process fan-out.
 from __future__ import annotations
 
 import heapq
-from random import Random
 
 from .core import CachedObject, ObjectCacheError
 
@@ -198,28 +197,3 @@ class GDSFPolicy(ObjectEvictionPolicy):
             heapq.heappop(self._heap)
         raise ObjectCacheError("gdsf: victim requested from empty cache")
 
-
-@register_object_policy
-class SizeAwareRandomPolicy(ObjectEvictionPolicy):
-    """Size-weighted random: victim probability proportional to object size.
-
-    The stochastic baseline DEAP Cache compares against — evicting by size
-    mass clears room quickly with no bookkeeping.  Seeded and iterated in
-    resident insertion order, so replays are deterministic.
-    """
-
-    name = "random_size"
-
-    def __init__(self, seed: int = 0):
-        self._rng = Random(0x0B1EC7 ^ seed)
-
-    def victim(self, residents, incoming, now):
-        total = 0
-        for obj in residents.values():
-            total += obj.size
-        ticket = self._rng.randrange(total)
-        for key, obj in residents.items():
-            ticket -= obj.size
-            if ticket < 0:
-                return key
-        raise ObjectCacheError("random_size: victim requested from empty cache")

@@ -27,8 +27,8 @@ from repro.scenarios.golden import canonical_json
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.schema import scenario_from_dict
 
-#: Policies cheap enough to fuzz densely (no per-line learning machinery).
-FUZZ_POLICIES = ("lru", "srrip", "drrip", "ship", "bip", "nru", "random")
+#: Policies cheap enough to fuzz densely (no per-line learning predictors).
+FUZZ_POLICIES = ("lru", "srrip", "brrip", "drrip", "ship", "rlr", "random")
 
 #: Evaluation scales whose full hierarchy constructs (scale 128 shrinks the
 #: L1 below one set) — small enough that a fuzz case runs in milliseconds.
@@ -163,7 +163,7 @@ def scenario_dicts():
 
 #: Object policies cheap enough to fuzz densely (rlr variants ride along at
 #: a reduced sample so the scan stays cheap on tiny caches).
-FUZZ_OBJECT_POLICIES = ("lru", "lru_size", "gdsf", "random_size", "rlr_size")
+FUZZ_OBJECT_POLICIES = ("lru", "lru_size", "gdsf", "rlr", "rlr_size")
 
 #: Capacities small enough that generated size distributions straddle them:
 #: with sizes up to 256 KiB, single objects range from "tiny fraction of the
@@ -239,8 +239,8 @@ def object_scenario_dicts():
             "policies": policies,
             "sanitize": sanitize,
             "expect": [{"check": "conservation"}],
-            "params": {"rlr_size": {"sample": 32}}
-            if "rlr_size" in policies else {},
+            "params": {name: {"sample": 32} for name in policies
+                       if name.startswith("rlr")},
         }
         if admission is not None:
             data["admission"] = admission
@@ -254,7 +254,6 @@ def object_scenario_dicts():
     admission = st.one_of(
         st.none(),
         st.just({"kind": "always"}),
-        st.just({"kind": "size_threshold", "max_size": 32_768}),
         st.just({"kind": "freq_gate", "threshold": 2}),
     )
     return st.builds(

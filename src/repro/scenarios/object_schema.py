@@ -41,7 +41,6 @@ _WORKLOAD_PARAM_KEYS = {
 
 _ADMISSION_PARAM_KEYS = {
     "always": set(),
-    "size_threshold": {"max_size"},
     "freq_gate": {"width", "depth", "threshold", "reset_interval"},
 }
 

@@ -173,13 +173,6 @@ def phased(rng: random.Random, length: int, phases, phase_length: int = None):
         phase_index += 1
 
 
-def write_heavy_stream(length: int, working_set: int, write_fraction: float = 0.5):
-    """Streaming writes (lbm-like): generates RFOs and downstream writebacks."""
-    for i in range(length):
-        is_write = (i % max(1, round(1 / write_fraction))) == 0
-        yield i % working_set, 8, is_write
-
-
 #: pc_ids of irregular patterns (random/chase/zipf/scan_hot/multi_stream):
 #: their PCs get folded into the shared pool; regular patterns keep clean
 #: PCs so stride prefetchers can train.

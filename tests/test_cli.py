@@ -515,3 +515,107 @@ class TestScenarioCommands:
                             str(library / "cli-tiny.json"))
         assert code == 0
         assert "scenario 'cli-tiny'" in out
+
+
+class TestSweepScenarioFlags:
+    """``repro sweep --scenario`` refuses every flag its scenario's kind
+    would ignore, before any work, instead of running without it."""
+
+    SCENARIOS = {
+        "cpu_cache": {
+            "format": 1,
+            "name": "flags-cpu",
+            "config": {"scale": 64, "trace_length": 500, "seed": 3},
+            "workloads": [{"name": "loop", "patterns": [
+                {"kind": "cyclic", "working_set": 2.0},
+            ]}],
+            "policies": ["lru", "srrip"],
+        },
+        "object_cache": {
+            "format": 1,
+            "kind": "object_cache",
+            "name": "flags-object",
+            "config": {"capacity_bytes": 50_000, "requests": 500},
+            "workloads": [{"name": "z1", "kind": "zipf", "objects": 100}],
+            "policies": ["lru", "gdsf"],
+        },
+    }
+
+    #: Flags neither kind reads.
+    UNREAD = [
+        ("--suite", "cloudsuite"),
+        ("--policies", "lru"),
+        ("--no-cache",),
+        ("--metrics",),
+        ("--sanitize", "off"),
+        ("--strict",),
+        ("--no-strict",),
+        ("--scale", "64"),
+        ("--length", "100"),
+        ("--seed", "3"),
+    ]
+    CPU_UNREAD = [
+        ("--timeout", "5"),
+        ("--retries", "1"),
+        ("--run-dir", "runs"),
+        ("--resume", "run-9999"),
+    ]
+    OBJECT_UNREAD = [("--cache-dir", "prepared")]
+
+    @pytest.fixture
+    def sweep(self, tmp_path, monkeypatch, capsys):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+
+        def run(kind, *flags):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(self.SCENARIOS[kind]))
+            code = main(["sweep", "--scenario", str(path), *flags])
+            captured = capsys.readouterr()
+            return code, captured.err
+
+        return run
+
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [("cpu_cache", flags) for flags in UNREAD + CPU_UNREAD]
+        + [("object_cache", flags) for flags in UNREAD + OBJECT_UNREAD],
+        ids=lambda value: " ".join(value) if isinstance(value, tuple)
+        else value,
+    )
+    def test_unread_flag_is_an_error(self, sweep, tmp_path, kind, flags):
+        code, err = sweep(kind, *flags)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert flags[0] in err
+        assert not (tmp_path / ".repro-runs").exists()
+        assert not (tmp_path / "runs").exists()
+        assert not (tmp_path / "prepared").exists()
+
+    def test_every_unread_flag_is_named(self, sweep):
+        code, err = sweep("cpu_cache", "--timeout", "0.001", "--strict",
+                          "--run-dir", "runs", "--resume", "run-9999",
+                          "--scale", "64", "--suite", "cloudsuite")
+        assert code == 2
+        for flag in ("--timeout", "--strict", "--run-dir", "--resume",
+                     "--scale", "--suite"):
+            assert flag in err
+
+    def test_cpu_scenario_runs_with_the_flags_it_reads(self, sweep,
+                                                       tmp_path):
+        code, _ = sweep("cpu_cache", "--jobs", "1", "--cache-dir",
+                        "prepared", "--decisions")
+        assert code == 0
+        assert (tmp_path / "prepared").is_dir()
+
+    def test_object_scenario_runs_with_the_flags_it_reads(self, sweep,
+                                                          tmp_path):
+        flags = ("--jobs", "1", "--decisions", "2", "--timeout", "60",
+                 "--retries", "1", "--run-dir", "runs")
+        code, _ = sweep("object_cache", *flags)
+        assert code == 0
+        assert (tmp_path / "runs" / "run-0001" / "report.csv").is_file()
+        code, err = sweep("object_cache", *flags, "--resume", "run-0001")
+        assert code == 0
+        assert "resuming run-0001" in err

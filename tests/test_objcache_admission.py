@@ -16,31 +16,11 @@ from repro.objcache.admission import FrequencyGateAdmission
 class TestRegistry:
     def test_bundled_hooks_are_registered(self):
         names = admission_names()
-        assert {"always", "size_threshold", "freq_gate"} <= set(names)
+        assert {"always", "freq_gate"} <= set(names)
 
     def test_unknown_hook_raises_with_known_list(self):
         with pytest.raises(ObjectCacheError, match="known:.*always"):
             make_admission("ml-oracle")
-
-
-class TestSizeThreshold:
-    def test_rejects_above_ceiling(self):
-        hook = make_admission("size_threshold", max_size=1000)
-        assert hook.admit(ObjectRequest(key=1, size=1000), 0) is True
-        assert hook.admit(ObjectRequest(key=1, size=1001), 0) is False
-
-    def test_invalid_ceiling_rejected(self):
-        with pytest.raises(ObjectCacheError):
-            make_admission("size_threshold", max_size=0)
-
-    def test_cache_counts_threshold_rejections(self):
-        cache = ObjectCache(
-            10_000, make_object_policy("lru"),
-            admission=make_admission("size_threshold", max_size=100),
-        )
-        cache.access(ObjectRequest(key=1, size=500))
-        assert cache.stats.rejected == 1
-        assert len(cache) == 0
 
 
 class TestFrequencyGate:
@@ -55,6 +35,15 @@ class TestFrequencyGate:
         assert 7 not in cache  # one-hit wonder filtered
         cache.access(ObjectRequest(key=7, size=100))
         assert 7 in cache
+
+    def test_cache_counts_gate_rejections(self):
+        cache = ObjectCache(
+            10_000, make_object_policy("lru"),
+            admission=make_admission("freq_gate", threshold=2),
+        )
+        cache.access(ObjectRequest(key=1, size=500))
+        assert cache.stats.rejected == 1
+        assert len(cache) == 0
 
     def test_counters_halve_at_the_reset_interval(self):
         gate = FrequencyGateAdmission(width=64, depth=2, threshold=2,

@@ -20,8 +20,7 @@ def fill(cache, sizes, start_key=0):
 class TestRegistry:
     def test_known_policies_are_registered(self):
         names = object_policy_names()
-        for expected in ("lru", "lru_size", "gdsf", "random_size",
-                         "rlr", "rlr_size"):
+        for expected in ("lru", "lru_size", "gdsf", "rlr", "rlr_size"):
             assert expected in names
 
     def test_unknown_policy_raises_with_known_list(self):
@@ -78,22 +77,3 @@ class TestGDSF:
         assert GDSFPolicy(cost="byte").cost == "byte"
         with pytest.raises(ObjectCacheError):
             GDSFPolicy(cost="latency")
-
-
-class TestRandomSize:
-    def test_same_seed_is_deterministic(self):
-        def run(seed):
-            cache = ObjectCache(
-                500, make_object_policy("random_size", seed=seed)
-            )
-            for key in range(40):
-                cache.access(ObjectRequest(key=key % 13, size=70 + key % 5))
-            return sorted(cache.residents)
-
-        assert run(3) == run(3)
-
-    def test_victim_is_always_resident(self):
-        cache = ObjectCache(200, make_object_policy("random_size"))
-        for key in range(50):
-            cache.access(ObjectRequest(key=key, size=60))
-        assert cache.check_conservation() == []

@@ -10,6 +10,7 @@ tested on synthetic rounds; the drivers on small real streams.
 """
 
 import dataclasses
+import re
 from functools import partial
 from statistics import quantiles
 
@@ -22,6 +23,7 @@ from repro.eval.bench import (
     OBJECT_HOOKS,
     PHASE_ROUNDS,
     Scripted,
+    capture_flamegraph,
     objcache_phases,
     replay_phases,
 )
@@ -183,7 +185,7 @@ class TestScriptedPremise:
         assert replay(prepared, Scripted(make(), victims, CPU_HOOKS),
                       sanitize="off") == expected
 
-    @pytest.mark.parametrize("gate", [None, "size_threshold", "freq_gate"])
+    @pytest.mark.parametrize("gate", [None, "freq_gate"])
     @pytest.mark.parametrize("name", object_policy_names())
     def test_scripted_object_runs_reproduce_the_stats(self, object_trace,
                                                       name, gate):
@@ -364,3 +366,20 @@ class TestFlamegraphCapture:
         assert folded.endswith("\n")
         edges = [line for line in folded.splitlines() if ";" in line]
         assert any("inner" in edge for edge in edges)
+
+    @pytest.mark.parametrize("name, spec", [
+        ("replay", {"workload": "429.mcf", "scale": 64,
+                    "trace_length": 1200, "policies": ("lru", "rlr")}),
+        ("objcache", {"objects": 300, "length": 1500,
+                      "capacity_bytes": CAPACITY,
+                      "policies": ("lru", "rlr"),
+                      "admissions": ("freq_gate",)}),
+    ], ids=["replay", "objcache"])
+    def test_bench_profile_holds_plain_runs_not_the_split(self, name, spec):
+        folded = capture_flamegraph(name, spec=spec)
+        frames = {frame for line in folded.splitlines()
+                  for frame in line.rpartition(" ")[0].split(";")}
+        assert any(re.fullmatch(r"cache\.py:\d+:access", frame)
+                   for frame in frames)
+        for split_frame in (":_split", ":replay_phases", ":objcache_phases"):
+            assert not any(frame.endswith(split_frame) for frame in frames)

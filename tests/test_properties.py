@@ -14,9 +14,8 @@ from repro.traces.record import AccessType, TraceRecord
 from tests.conftest import load
 
 _POLICIES = ["lru", "mru", "random", "srrip", "brrip", "drrip",
-             "ship", "ship++", "hawkeye", "kpc_r", "pdp", "eva",
-             "rlr", "rlr_unopt", "rlr_tuned", "lip", "bip", "dip",
-             "nru", "irg", "counter", "glider", "mpppb", "sdbp", "rwp"]
+             "ship", "ship++", "hawkeye", "kpc_r", "rlr", "rlr_unopt",
+             "rlr_tuned", "glider", "mpppb"]
 
 _access_strategy = st.lists(
     st.tuples(

@@ -173,6 +173,33 @@ class TestLibrary:
     def _needs_yaml(self):
         pytest.importorskip("yaml")  # the library scenarios are YAML
 
+    def test_every_registered_model_is_run_by_a_scenario(self):
+        """A replacement policy, object policy or admission gate lands
+        with a library scenario that runs it."""
+        from repro.cache.replacement import POLICY_REGISTRY
+        from repro.objcache.admission import OBJECT_ADMISSION_REGISTRY
+        from repro.objcache.policies import OBJECT_POLICY_REGISTRY
+
+        policies = {"cpu_cache": set(), "object_cache": set()}
+        gates = {"always"}  # the default: no admission clause
+        for scenario in load_library(LIBRARY).values():
+            kind = getattr(scenario, "scenario_kind", "cpu_cache")
+            policies[kind].update(scenario.policies)
+            if getattr(scenario, "admission", None):
+                gates.add(scenario.admission["kind"])
+        exempt = {
+            # Contrast LLC policies that tests set against the others,
+            # e.g. tests/test_inclusive.py (mru), tests/test_cpu.py (mru)
+            # and tests/test_agreement.py (random).
+            "mru", "random",
+            # DRRIP's bimodal half: DRRIPPolicy reads
+            # BRRIPPolicy.LONG_PROBABILITY.
+            "brrip",
+        }
+        assert set(POLICY_REGISTRY) - exempt - policies["cpu_cache"] == set()
+        assert set(OBJECT_POLICY_REGISTRY) - policies["object_cache"] == set()
+        assert set(OBJECT_ADMISSION_REGISTRY) - gates == set()
+
     @pytest.mark.parametrize("suite", ["spec2006", "cloudsuite"])
     def test_model_port_matches_code(self, suite):
         """The ported model scenarios rebuild byte-identical traces.
