@@ -19,8 +19,8 @@ from repro.eval.runner import _prepared
 from repro.cache.cache import Cache
 from repro.rl.metrics import train_with_monitor
 from repro.rl.policy_adapter import AgentReplacementPolicy
-from repro.rl.reward import FutureOracle
 from repro.rl.trainer import TrainerConfig
+from repro.traces.oracle import NextUseOracle
 
 
 def main() -> None:
@@ -50,7 +50,7 @@ def main() -> None:
               f"{100 * profile.harmful_rate:5.1f}%")
     # The trained agent, probed the same way.
     adapter = AgentReplacementPolicy(trained.agent, trained.extractor, train=False)
-    probe = OracleProbePolicy(adapter, FutureOracle(prepared.llc_line_stream))
+    probe = OracleProbePolicy(adapter, NextUseOracle(prepared.llc_line_stream))
     probe.bind(prepared.llc_config)
     cache = Cache(prepared.llc_config, probe, detailed=True)
     for record in records:

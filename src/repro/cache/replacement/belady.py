@@ -5,23 +5,20 @@ again-used lines first).  It needs the future LLC reference stream, which is
 independent of the LLC's own replacement policy in this hierarchy (upper
 levels never observe LLC state), so an exact two-pass simulation works:
 
-1. Run the workload once with any policy, recording the LLC access stream
-   (:func:`repro.eval.runner.record_llc_stream` does this).
-2. Construct :class:`BeladyPolicy` with that stream and run again.
+1. Run the workload once, recording the LLC access stream
+   (:attr:`repro.eval.runner.PreparedWorkload.llc_line_stream`).
+2. Construct :class:`BeladyPolicy` with that stream and replay it.
 
-The policy counts LLC accesses itself (one ``on_hit`` or ``on_miss`` per
-access) to stay aligned with the recorded stream, and checks alignment as it
-goes.
+The policy reads next uses from a :class:`~repro.traces.oracle.NextUseOracle`
+over the stream, advancing it once per LLC access (one ``on_hit`` or
+``on_miss``); the oracle raises if the replayed stream is not the recorded
+one.  Each way's next use is kept in a per-set list, set on hit and on fill.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.cache.replacement.base import BYPASS, ReplacementPolicy, register_policy
-
-#: Next-use position assigned to lines never used again.
-NEVER = float("inf")
+from repro.traces.oracle import NEVER, NextUseOracle
 
 
 @register_policy
@@ -30,60 +27,32 @@ class BeladyPolicy(ReplacementPolicy):
 
     name = "belady"
 
-    def __init__(self, future_line_addresses=None, allow_bypass: bool = False) -> None:
+    def __init__(self, future_line_addresses=(),
+                 allow_bypass: bool = False) -> None:
         super().__init__()
         self.allow_bypass = allow_bypass
-        self._position = 0
-        self._occurrences = {}
-        if future_line_addresses is not None:
-            self.set_future(future_line_addresses)
+        self.oracle = NextUseOracle(future_line_addresses)
+        self._uses = []
+        self._incoming = NEVER
 
-    def set_future(self, future_line_addresses) -> None:
-        """Load the upcoming LLC access stream (line addresses, in order)."""
-        occurrences = {}
-        for position, line_address in enumerate(future_line_addresses):
-            occurrences.setdefault(line_address, deque()).append(position)
-        self._occurrences = occurrences
-        self._position = 0
-
-    # -- stream alignment ----------------------------------------------------
-
-    def _advance(self, access) -> None:
-        queue = self._occurrences.get(access.line_address)
-        if queue is None or not queue or queue[0] != self._position:
-            raise RuntimeError(
-                "Belady stream misalignment at position "
-                f"{self._position}: the recorded stream does not match the "
-                "simulated one (did the hierarchy configuration change?)"
-            )
-        queue.popleft()
-        self._position += 1
+    def _post_bind(self) -> None:
+        # Each way's next use; written by every fill before victim reads it
+        # (victim runs only on a full set).
+        self._uses = [[NEVER] * self.ways for _ in range(self.num_sets)]
 
     def on_hit(self, set_index, way, line, access):
-        self._advance(access)
+        self._uses[set_index][way] = self.oracle.advance(access.line_address)
 
     def on_miss(self, set_index, access):
-        self._advance(access)
+        self._incoming = self.oracle.advance(access.line_address)
 
-    def next_use(self, line_address: int):
-        """Position of the next access to ``line_address`` (NEVER if none)."""
-        queue = self._occurrences.get(line_address)
-        if not queue:
-            return NEVER
-        return queue[0]
+    def on_fill(self, set_index, way, line, access):
+        self._uses[set_index][way] = self._incoming
 
     def victim(self, set_index, cache_set, access):
-        farthest_way, farthest_use = 0, -1.0
-        for way in range(self.ways):
-            line = cache_set.lines[way]
-            if not line.valid:
-                continue
-            use = self.next_use(line.line_address)
-            if use == NEVER:
-                return way
-            if use > farthest_use:
-                farthest_use = use
-                farthest_way = way
-        if self.allow_bypass and self.next_use(access.line_address) > farthest_use:
+        uses = self._uses[set_index]
+        farthest = max(uses)
+        if self.allow_bypass and self._incoming > farthest:
             return BYPASS
-        return farthest_way
+        # The lowest way among ties, which only never-reused lines can form.
+        return uses.index(farthest)

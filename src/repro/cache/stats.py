@@ -18,14 +18,6 @@ class CacheStats:
     bypasses: int = 0
     compulsory_misses: int = 0
 
-    def record_hit(self, access_type: AccessType) -> None:
-        self.hits[access_type] += 1
-
-    def record_miss(self, access_type: AccessType, compulsory: bool = False) -> None:
-        self.misses[access_type] += 1
-        if compulsory:
-            self.compulsory_misses += 1
-
     @property
     def total_hits(self) -> int:
         return sum(self.hits.values())

@@ -491,13 +491,13 @@ def cmd_replay(args) -> int:
     prepared = _prepared(eval_config, trace, 1, None)
     decisions = None
     if args.decisions:
-        from repro.rl.reward import FutureOracle
+        from repro.traces.oracle import NextUseOracle
 
         decisions = DecisionTrace(
             workload=args.workload,
             policy=args.policy,
             sample_rate=args.decisions,
-            oracle=FutureOracle(prepared.llc_line_stream),
+            oracle=NextUseOracle(prepared.llc_line_stream),
         )
     result = replay(prepared, args.policy, decisions=decisions)
     print(f"workload: {args.workload}   policy: {args.policy}")

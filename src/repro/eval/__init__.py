@@ -26,7 +26,6 @@ from repro.eval.prep_cache import (
 )
 from repro.eval.runner import (
     compare_policies,
-    record_llc_stream,
     run_belady,
     run_workload,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "ipc_speedup",
     "mix_speedup",
     "overall_speedup_percent",
-    "record_llc_stream",
     "run_belady",
     "run_workload",
     "speedup_percent",

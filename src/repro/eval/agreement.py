@@ -12,7 +12,9 @@ directly against the RL agent's and against Belady's (always-optimal).
 (:mod:`repro.eval.decision_stream`); :class:`OracleProbePolicy`, the
 original proxy-policy implementation, is kept as an independent
 cross-check — the equivalence test asserts both gradings agree count for
-count.
+count.  Both read next uses from a
+:class:`~repro.traces.oracle.NextUseOracle`, but through separate grading
+rules (``DecisionTrace._grade`` and :func:`repro.rl.reward.belady_reward`).
 """
 
 from __future__ import annotations
@@ -23,12 +25,8 @@ from repro.cache.cache import Cache
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.eval.decision_stream import trace_decisions
 from repro.eval.runner import _instantiate, _prepared
-from repro.rl.reward import (
-    NEGATIVE_REWARD,
-    POSITIVE_REWARD,
-    FutureOracle,
-    belady_reward,
-)
+from repro.rl.reward import NEGATIVE_REWARD, POSITIVE_REWARD, belady_reward
+from repro.traces.oracle import NextUseOracle
 
 
 @dataclass
@@ -65,7 +63,8 @@ class OracleProbePolicy(ReplacementPolicy):
     name = "oracle_probe"
     needs_line_metadata = True  # conservatively maintain full metadata
 
-    def __init__(self, inner: ReplacementPolicy, oracle: FutureOracle) -> None:
+    def __init__(self, inner: ReplacementPolicy,
+                 oracle: NextUseOracle) -> None:
         super().__init__()
         self.inner = inner
         self.oracle = oracle

@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.eval.runner import _prepared, replay
 from repro.telemetry.decisions import DecisionTrace
+from repro.traces.oracle import NextUseOracle
 
 
 def trace_decisions(
@@ -30,19 +31,15 @@ def trace_decisions(
 ) -> DecisionTrace:
     """Replay ``workload_name`` under ``policy``, recording every decision.
 
-    ``graded=True`` attaches a Belady :class:`~repro.rl.reward.FutureOracle`
+    ``graded=True`` attaches a :class:`~repro.traces.oracle.NextUseOracle`
     over the recorded LLC stream, so each eviction carries its +1/0/-1
-    grade.  The default ``capacity=None`` keeps every sampled event
+    Belady grade.  The default ``capacity=None`` keeps every sampled event
     (analysis consumers need the full stream; the bounded default of
     :class:`DecisionTrace` is for long sweeps).
     """
     trace = eval_config.trace(workload_name)
     prepared = _prepared(eval_config, trace, 1, None)
-    oracle = None
-    if graded:
-        from repro.rl.reward import FutureOracle
-
-        oracle = FutureOracle(prepared.llc_line_stream)
+    oracle = NextUseOracle(prepared.llc_line_stream) if graded else None
     kwargs = {} if worst_n is None else {"worst_n": worst_n}
     decisions = DecisionTrace(
         workload=workload_name,

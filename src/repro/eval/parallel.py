@@ -371,14 +371,14 @@ def _replay_task(
             policy = copy.deepcopy(policy)
         trace = None
         if decisions:
-            from repro.rl.reward import FutureOracle
             from repro.telemetry.decisions import DecisionTrace
+            from repro.traces.oracle import NextUseOracle
 
             trace = DecisionTrace(
                 workload=workload,
                 policy=name,
                 sample_rate=decisions,
-                oracle=FutureOracle(prepared.llc_line_stream),
+                oracle=NextUseOracle(prepared.llc_line_stream),
             )
         violations = []
         result = replay(

@@ -311,17 +311,6 @@ def run_workload(
     return replay(prepared, policy, allow_bypass=allow_bypass)
 
 
-def record_llc_stream(
-    eval_config: EvalConfig,
-    trace: Trace,
-    num_cores: int = 1,
-    l2_prefetcher: Optional[str] = None,
-) -> list:
-    """The LLC line-address stream for ``trace`` (Belady's future input)."""
-    prepared = _prepared(eval_config, trace, num_cores, l2_prefetcher)
-    return prepared.llc_line_stream
-
-
 def run_belady(
     eval_config: EvalConfig,
     trace: Trace,

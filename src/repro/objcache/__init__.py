@@ -21,7 +21,7 @@ from repro.objcache.core import (
     size_bucket,
 )
 from repro.objcache.features import OBJECT_FEATURE_NAMES, ObjectFeatureExtractor
-from repro.objcache.oracle import ObjectFutureOracle, grade_object_eviction
+from repro.objcache.oracle import grade_object_eviction
 from repro.objcache.policies import (
     ObjectEvictionPolicy,
     make_object_policy,
@@ -57,7 +57,6 @@ __all__ = [
     "ObjectCacheStats",
     "ObjectEvictionPolicy",
     "ObjectFeatureExtractor",
-    "ObjectFutureOracle",
     "ObjectRLRPolicy",
     "ObjectRequest",
     "ObjectTrace",

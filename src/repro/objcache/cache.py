@@ -74,10 +74,6 @@ class ObjectCache:
     # -- introspection -----------------------------------------------------
 
     @property
-    def bytes_used(self) -> int:
-        return self._bytes
-
-    @property
     def residents(self) -> dict:
         """Key -> CachedObject view (treat as read-only)."""
         return self._store

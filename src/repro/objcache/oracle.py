@@ -20,66 +20,25 @@ Grading mirrors ``repro.telemetry.decisions`` on the CPU side:
 
 from __future__ import annotations
 
-from collections import deque
-
-#: Score for never-reused objects.
-NEVER = float("inf")
+from repro.traces.oracle import NEVER, NextUseOracle
 
 GRADE_OPTIMAL = "optimal"
 GRADE_NEUTRAL = "neutral"
 GRADE_HARMFUL = "harmful"
 
 
-class ObjectFutureOracle:
-    """Next-use lookups over a pre-recorded object request stream.
+def byte_time(oracle: NextUseOracle, key, size: int, position: int) -> float:
+    """Byte-time score: next-use distance weighted by bytes (NEVER if none).
 
-    The same per-key occurrence-queue machinery as
-    :class:`repro.rl.reward.FutureOracle`, keyed by object key instead of
-    line address.
+    Skips the in-flight occurrence of ``key`` at ``position``.
     """
-
-    def __init__(self, requests) -> None:
-        self._occurrences = {}
-        for position, request in enumerate(requests):
-            self._occurrences.setdefault(
-                request.key, deque()
-            ).append(position)
-        self.position = 0
-
-    def advance(self, request) -> None:
-        """Consume the current stream position (must match the stream)."""
-        queue = self._occurrences.get(request.key)
-        if not queue or queue[0] != self.position:
-            raise RuntimeError(
-                f"object oracle misalignment at position {self.position}"
-            )
-        queue.popleft()
-        self.position += 1
-
-    def next_use(self, key: int) -> float:
-        queue = self._occurrences.get(key)
-        return queue[0] if queue else NEVER
-
-    def next_use_after(self, key: int, position: int) -> float:
-        """First access to ``key`` strictly after ``position`` (skips the
-        in-flight occurrence of the object being admitted)."""
-        queue = self._occurrences.get(key)
-        if not queue:
-            return NEVER
-        for occurrence in queue:
-            if occurrence > position:
-                return occurrence
+    next_use = oracle.next_use_after(key, position)
+    if next_use == NEVER:
         return NEVER
-
-    def score(self, key: int, size: int, position: int) -> float:
-        """Byte-time score: next-use distance weighted by bytes."""
-        next_use = self.next_use_after(key, position)
-        if next_use == NEVER:
-            return NEVER
-        return (next_use - position) * size
+    return (next_use - position) * size
 
 
-def grade_object_eviction(oracle: ObjectFutureOracle, residents: dict,
+def grade_object_eviction(oracle: NextUseOracle, residents: dict,
                           victim, incoming, position: int) -> str:
     """Grade one eviction at request ``position`` (before oracle advance).
 
@@ -87,17 +46,18 @@ def grade_object_eviction(oracle: ObjectFutureOracle, residents: dict,
     scored alongside it, so "best among residents" means best among the
     candidates the policy actually chose from.
     """
-    victim_score = oracle.score(victim.key, victim.size, position)
+    victim_score = byte_time(oracle, victim.key, victim.size, position)
     if victim_score == NEVER:
         return GRADE_OPTIMAL
     best = victim_score
     for obj in residents.values():
-        score = oracle.score(obj.key, obj.size, position)
+        score = byte_time(oracle, obj.key, obj.size, position)
         if score > best:
             best = score
     if victim_score >= best:
         return GRADE_OPTIMAL
-    incoming_score = oracle.score(incoming.key, incoming.size, position)
+    incoming_score = byte_time(oracle, incoming.key, incoming.size,
+                               position)
     if victim_score < incoming_score:
         return GRADE_HARMFUL
     return GRADE_NEUTRAL

@@ -23,11 +23,11 @@ from dataclasses import asdict, dataclass
 from repro import sanitize as sanitize_mod
 from repro.sanitize.errors import SanitizeError
 from repro.testing.faults import maybe_fault
+from repro.traces.oracle import NextUseOracle
 
 from .admission import make_admission
 from .cache import ObjectCache
 from .core import ObjectCacheStats
-from .oracle import ObjectFutureOracle
 from .policies import make_object_policy
 from .workloads import ObjectTrace, generate_object_trace
 
@@ -119,7 +119,7 @@ def replay_object_trace(
             workload=trace.name,
             policy=policy,
             sample_rate=decisions,
-            oracle=ObjectFutureOracle(trace.requests),
+            oracle=NextUseOracle(request.key for request in trace.requests),
             total=len(trace.requests),
         )
         trace_obj.attach(cache)

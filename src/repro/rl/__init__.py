@@ -30,7 +30,7 @@ from repro.rl.hill_climbing import HillClimbResult, hill_climb
 from repro.rl.network import MLP
 from repro.rl.policy_adapter import AgentReplacementPolicy
 from repro.rl.replay import ReplayMemory, Transition
-from repro.rl.reward import FutureOracle, belady_reward
+from repro.rl.reward import belady_reward
 from repro.rl.trainer import (
     TrainedAgent,
     TrainerConfig,
@@ -46,7 +46,6 @@ __all__ = [
     "AgentReplacementPolicy",
     "DQNAgent",
     "FeatureExtractor",
-    "FutureOracle",
     "GeneralizationResult",
     "explain_decision",
     "render_explanation",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro.cache.cache import Cache
 from repro.rl.policy_adapter import AgentReplacementPolicy
-from repro.rl.reward import FutureOracle
+from repro.traces.oracle import NextUseOracle
 
 
 class RLSimulation:
@@ -28,7 +28,7 @@ class RLSimulation:
 
     def __init__(self, llc_config, agent, feature_extractor, records, train=True):
         self.records = records
-        oracle = FutureOracle(r.line_address for r in records) if train else None
+        oracle = NextUseOracle(r.line_address for r in records) if train else None
         self.policy = AgentReplacementPolicy(
             agent, feature_extractor, oracle=oracle, train=train
         )

@@ -29,10 +29,6 @@ class GeneralizationResult:
     training_benchmarks: tuple
     hit_rates: dict = field(default_factory=dict)  #: workload -> {policy: rate}
 
-    def agent_beats_lru(self, workload: str) -> bool:
-        row = self.hit_rates[workload]
-        return row["rl"] >= row["lru"]
-
 
 def train_across_benchmarks(
     eval_config,

@@ -42,10 +42,6 @@ class HillClimbResult:
     selected: tuple
     steps: list
 
-    @property
-    def final_score(self) -> float:
-        return self.steps[-1].score if self.steps else 0.0
-
 
 def _score_feature_set(llc_config, streams, features, config) -> float:
     """Train on each stream with only ``features`` enabled; mean hit rate."""

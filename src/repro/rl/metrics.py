@@ -90,8 +90,8 @@ def train_with_monitor(
     from repro.cache.cache import Cache
     from repro.rl import reward as reward_module
     from repro.rl.policy_adapter import AgentReplacementPolicy
-    from repro.rl.reward import FutureOracle
     from repro.rl.trainer import TrainedAgent, TrainerConfig, make_extractor
+    from repro.traces.oracle import NextUseOracle
 
     config = config or TrainerConfig()
     extractor = make_extractor(llc_config, config.features)
@@ -125,7 +125,7 @@ def train_with_monitor(
 
     stats = None
     for _ in range(max(1, config.epochs)):
-        oracle = FutureOracle(record.line_address for record in records)
+        oracle = NextUseOracle(record.line_address for record in records)
         policy = _MonitoredAdapter(agent, extractor, oracle=oracle, train=True)
         policy.bind(llc_config)
         cache = Cache(llc_config, policy, detailed=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.rl.agent import DQNAgent
 from repro.rl.policy_adapter import AgentReplacementPolicy
-from repro.rl.reward import FutureOracle
+from repro.traces.oracle import NextUseOracle
 
 
 class MultiAgentReplacementPolicy(ReplacementPolicy):
@@ -32,7 +32,7 @@ class MultiAgentReplacementPolicy(ReplacementPolicy):
         self,
         agents,
         feature_extractor,
-        oracle: FutureOracle = None,
+        oracle: NextUseOracle = None,
         train: bool = False,
     ) -> None:
         super().__init__()

@@ -3,8 +3,8 @@
 :class:`AgentReplacementPolicy` plugs a :class:`repro.rl.agent.DQNAgent`
 into the standard policy interface, so the agent can drive the same cache
 simulator as every hand-crafted policy.  In training mode it computes the
-Belady-derived reward from a :class:`repro.rl.reward.FutureOracle` and feeds
-transitions into the agent's replay memory; in evaluation mode it acts
+Belady-derived reward from a :class:`repro.traces.oracle.NextUseOracle` and
+feeds transitions into the agent's replay memory; in evaluation mode it acts
 greedily.
 
 It also maintains the one simulator-level feature hardware cannot easily
@@ -20,10 +20,10 @@ from repro.cache.replacement.base import ReplacementPolicy
 from repro.rl.reward import (
     NEGATIVE_REWARD,
     POSITIVE_REWARD,
-    FutureOracle,
     belady_reward,
     belady_reward_vector,
 )
+from repro.traces.oracle import NextUseOracle
 
 
 class AgentReplacementPolicy(ReplacementPolicy):
@@ -36,7 +36,7 @@ class AgentReplacementPolicy(ReplacementPolicy):
         self,
         agent,
         feature_extractor,
-        oracle: FutureOracle = None,
+        oracle: NextUseOracle = None,
         train: bool = False,
     ) -> None:
         super().__init__()
@@ -45,7 +45,7 @@ class AgentReplacementPolicy(ReplacementPolicy):
         self.oracle = oracle
         self.train = train
         if train and oracle is None:
-            raise ValueError("training requires a FutureOracle for rewards")
+            raise ValueError("training requires a NextUseOracle for rewards")
         self._set_accesses = None
         self._last_access = {}
         self._pending = None  # (state, action, reward) awaiting next_state

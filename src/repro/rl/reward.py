@@ -8,68 +8,21 @@
 
 "Only the optimal replacement decision is assigned a positive reward,
 differentiating it from the other decisions."
+
+Next uses come from a :class:`~repro.traces.oracle.NextUseOracle` over the
+LLC line-address stream, which the caller advances once per LLC access.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from repro.traces.oracle import NEVER, NextUseOracle
 
 POSITIVE_REWARD = 1.0
 NEGATIVE_REWARD = -1.0
 NEUTRAL_REWARD = 0.0
 
-#: Next-use position for never-reused lines.
-NEVER = float("inf")
 
-
-class FutureOracle:
-    """Next-use lookups over a pre-recorded LLC line-address stream.
-
-    Shares Belady's machinery: per-address queues of future positions,
-    advanced once per LLC access.
-    """
-
-    def __init__(self, line_addresses) -> None:
-        self._occurrences = {}
-        for position, line_address in enumerate(line_addresses):
-            self._occurrences.setdefault(line_address, deque()).append(position)
-        self.position = 0
-
-    def advance(self, line_address: int) -> None:
-        """Consume the current stream position (must match the stream)."""
-        queue = self._occurrences.get(line_address)
-        if not queue or queue[0] != self.position:
-            raise RuntimeError(
-                f"oracle misalignment at position {self.position}"
-            )
-        queue.popleft()
-        self.position += 1
-
-    def next_use(self, line_address: int) -> float:
-        """Stream position of the next access to ``line_address`` (or NEVER)."""
-        queue = self._occurrences.get(line_address)
-        return queue[0] if queue else NEVER
-
-    def next_use_after(self, line_address: int, position: int) -> float:
-        """First access to ``line_address`` strictly after ``position``.
-
-        Lets a consumer that advances the oracle at end-of-access (the
-        decision tracer) look past the in-flight occurrence of the line
-        being inserted: at decision time that line's queue still holds the
-        current position itself.  Queues hold at most one non-future entry
-        (everything earlier was consumed by ``advance``), so the scan is
-        O(1) in practice.
-        """
-        queue = self._occurrences.get(line_address)
-        if not queue:
-            return NEVER
-        for occurrence in queue:
-            if occurrence > position:
-                return occurrence
-        return NEVER
-
-
-def belady_reward_vector(oracle: FutureOracle, cache_set, access) -> list:
+def belady_reward_vector(oracle: NextUseOracle, cache_set, access) -> list:
     """Counterfactual rewards for evicting EACH way (invalid ways: -1).
 
     Because the oracle knows the future, the reward of every possible
@@ -98,7 +51,8 @@ def belady_reward_vector(oracle: FutureOracle, cache_set, access) -> list:
     return rewards
 
 
-def belady_reward(oracle: FutureOracle, cache_set, victim_way: int, access) -> float:
+def belady_reward(oracle: NextUseOracle, cache_set, victim_way: int,
+                  access) -> float:
     """Reward the agent's choice of ``victim_way`` for the missing ``access``.
 
     Must be called *after* the oracle has advanced past the current access,

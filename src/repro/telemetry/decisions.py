@@ -41,8 +41,7 @@ for CPU logs, :data:`OBJECT_FORMAT_NAME` for object-cache logs, whose cells
 
 This module deliberately imports neither :mod:`repro.rl` nor
 :mod:`repro.cache` (both sit *above* telemetry in the import graph); the
-oracle is duck-typed (``advance`` / ``next_use`` / ``next_use_after``, see
-:class:`repro.rl.reward.FutureOracle`).
+oracle, :class:`~repro.traces.oracle.NextUseOracle`, sits below all three.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from repro.runs.atomic import atomic_write_text
+from repro.traces.oracle import NEVER
 from repro.traces.record import AccessType
 
 #: Decision-log format version (bumped on any layout change).
@@ -86,9 +86,6 @@ DEFAULT_WORST_N = 16
 #: Cap on retained violation events (normal-mode sanitizer degrades after
 #: the first violation, so this is a defensive bound, not a budget).
 MAX_VIOLATIONS = 256
-
-_NEVER = float("inf")
-
 
 class DecisionEvent(NamedTuple):
     """One logged eviction (or contract-violation) decision.
@@ -191,8 +188,8 @@ class DecisionTrace:
             the same replay always samples the same events.
         capacity: Event-ring size (``None`` = unbounded; analysis paths
             that need every event pass ``None``).
-        oracle: Optional Belady oracle (duck-typed
-            :class:`repro.rl.reward.FutureOracle`) enabling grading.
+        oracle: Optional :class:`~repro.traces.oracle.NextUseOracle` over
+            the LLC line-address stream, enabling grading.
         total: LLC stream length (set by :meth:`begin`); needed for epoch
             bucketing and for bounding never-reused severities.
         epochs: Number of equal-width regret epochs.
@@ -345,15 +342,15 @@ class DecisionTrace:
         advances at end-of-access), so resident lines' ``next_use`` values
         are strictly future, while the inserted line's next use must skip
         its own in-flight occurrence at ``index`` —
-        :meth:`~repro.rl.reward.FutureOracle.next_use_after` does exactly
-        that.  Grades are bit-identical to
+        :meth:`~repro.traces.oracle.NextUseOracle.next_use_after` does
+        exactly that.  Grades are bit-identical to
         :func:`repro.rl.reward.belady_reward` driven by an oracle advanced
         *past* the current access (the convention
         :class:`repro.eval.agreement.OracleProbePolicy` uses).
         """
         oracle = self.oracle
         next_uses = [
-            oracle.next_use(line.line_address) if line.valid else _NEVER
+            oracle.next_use(line.line_address) if line.valid else NEVER
             for line in cache_set.lines
         ]
         chosen = next_uses[way]
@@ -363,7 +360,7 @@ class DecisionTrace:
         if chosen < inserted:
             # Severity: how much sooner the victim returns than the line
             # displacing it (never-reused inserts count as end-of-stream).
-            bound = inserted if inserted != _NEVER else max(self.total, chosen + 1)
+            bound = inserted if inserted != NEVER else max(self.total, chosen + 1)
             return HARMFUL, int(bound - chosen)
         return NEUTRAL, 0
 

@@ -35,8 +35,8 @@ class ObjectDecisionTrace:
         sample_rate: grade + record every Nth eviction (counter-based, so
             replays sample identically; aggregates cover ALL evictions).
         capacity: event-ring size (oldest events drop beyond it).
-        oracle: optional :class:`~repro.objcache.oracle.ObjectFutureOracle`;
-            grading is skipped without one.
+        oracle: optional :class:`~repro.traces.oracle.NextUseOracle` over
+            the request keys; grading is skipped without one.
     """
 
     def __init__(self, workload: str = "", policy: str = "", *,
@@ -71,7 +71,7 @@ class ObjectDecisionTrace:
     def on_access(self, request, hit: bool) -> None:
         """Advance the oracle past the completed request (call per access)."""
         if self.oracle is not None:
-            self.oracle.advance(request)
+            self.oracle.advance(request.key)
 
     # -- observation -------------------------------------------------------
 

@@ -12,7 +12,7 @@ from repro.eval.agreement import (
     compare_agreement,
 )
 from repro.eval.workloads import EvalConfig
-from repro.rl.reward import FutureOracle
+from repro.traces.oracle import NextUseOracle
 
 from tests.conftest import load
 
@@ -37,7 +37,7 @@ class TestProbe:
         config = CacheConfig("c", 1 * 2 * 64, 2, latency=1)
         lines = [0, 1, 2, 0, 1, 2, 0, 3, 1, 0]
         inner = BeladyPolicy(list(lines))
-        probe = OracleProbePolicy(inner, FutureOracle(list(lines)))
+        probe = OracleProbePolicy(inner, NextUseOracle(list(lines)))
         probe.bind(config)
         cache = Cache(config, probe)
         for line in lines:
@@ -59,7 +59,8 @@ class TestProbe:
             return cache.stats.hit_rate
 
         plain = run(make_policy("mru"))
-        probed_policy = OracleProbePolicy(make_policy("mru"), FutureOracle(lines))
+        probed_policy = OracleProbePolicy(make_policy("mru"),
+                                          NextUseOracle(lines))
         probed = run(probed_policy)
         assert plain == probed
 

@@ -53,7 +53,7 @@ class TestVictimSelection:
 
     def test_next_use_reports_never(self):
         policy = BeladyPolicy([1, 2, 3])
-        assert policy.next_use(99) is NEVER
+        assert policy.oracle.next_use(99) is NEVER
 
 
 class TestAlignment:

@@ -393,11 +393,21 @@ class TestTrainMetrics:
 
 class TestPipeHandling:
     def test_broken_pipe_exits_cleanly(self):
+        import os
+        import shlex
         import subprocess
+        import sys
+        from pathlib import Path
 
+        # Run this checkout's package, and check Python's exit status, not
+        # the one of ``head``.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        command = (f"set -o pipefail; {shlex.quote(sys.executable)} "
+                   "-m repro table1 | head -2")
         result = subprocess.run(
-            "python -m repro table1 | head -2",
-            shell=True, capture_output=True, text=True, cwd="/root/repo",
+            ["bash", "-c", command], capture_output=True, text=True,
+            cwd=root, env=env,
         )
         assert result.returncode == 0
         assert "Table I" in result.stdout

@@ -17,7 +17,6 @@ from repro.eval.decision_stream import trace_decisions
 from repro.eval.runner import _instantiate, _prepared, replay
 from repro.eval.victim_analysis import VictimCollector, VictimStatistics
 from repro.eval.workloads import EvalConfig
-from repro.rl.reward import FutureOracle
 from repro.telemetry.decisions import (
     DecisionTrace,
     HARMFUL,
@@ -34,6 +33,7 @@ from repro.telemetry.decisions import (
     validate_decision_log,
     write_decisions_jsonl,
 )
+from repro.traces.oracle import NextUseOracle
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +49,7 @@ def prepared(eval_config):
 def _traced_replay(prepared, policy="lru", **kwargs):
     kwargs.setdefault("workload", "429.mcf")
     if "oracle" not in kwargs:
-        kwargs["oracle"] = FutureOracle(prepared.llc_line_stream)
+        kwargs["oracle"] = NextUseOracle(prepared.llc_line_stream)
     decisions = DecisionTrace(**kwargs)
     replay(prepared, policy, decisions=decisions)
     return decisions
@@ -101,7 +101,8 @@ class TestGrading:
         for policy in ("lru", "srrip", "ship"):
             traced = _traced_replay(prepared, policy=policy)
             probe = OracleProbePolicy(
-                _instantiate(policy, 1), FutureOracle(prepared.llc_line_stream)
+                _instantiate(policy, 1),
+                NextUseOracle(prepared.llc_line_stream),
             )
             replay(prepared, probe)
             profile = probe.profile

@@ -71,5 +71,4 @@ class TestFullProtocol:
         assert isinstance(result, GeneralizationResult)
         assert "403.gcc" in result.hit_rates
         assert result.training_benchmarks == ("450.soplex", "471.omnetpp")
-        # agent_beats_lru returns a bool either way.
-        assert result.agent_beats_lru("403.gcc") in (True, False)
+        assert {"rl", "lru"} <= set(result.hit_rates["403.gcc"])

@@ -8,7 +8,7 @@ from repro.rl.multi_agent import (
     MultiAgentReplacementPolicy,
     make_partitioned_agents,
 )
-from repro.rl.reward import FutureOracle
+from repro.traces.oracle import NextUseOracle
 
 from tests.conftest import load
 
@@ -28,7 +28,7 @@ def make_policy_under_test(config, num_agents=2, train=True, records=None):
         batch_size=4,
         train_interval=2,
     )
-    oracle = FutureOracle(r.line_address for r in records) if train else None
+    oracle = NextUseOracle(r.line_address for r in records) if train else None
     policy = MultiAgentReplacementPolicy(
         agents, extractor, oracle=oracle, train=train
     )

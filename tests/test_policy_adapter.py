@@ -7,7 +7,7 @@ from repro.rl.agent import DQNAgent
 from repro.rl.environment import RLSimulation
 from repro.rl.features import FeatureExtractor
 from repro.rl.policy_adapter import AgentReplacementPolicy
-from repro.rl.reward import FutureOracle
+from repro.traces.oracle import NextUseOracle
 
 from tests.conftest import load
 
@@ -25,7 +25,7 @@ def make_parts(config, train=True, records=None):
     )
     oracle = None
     if train:
-        oracle = FutureOracle(r.line_address for r in records)
+        oracle = NextUseOracle(r.line_address for r in records)
     return agent, extractor, oracle
 
 

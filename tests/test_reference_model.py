@@ -9,11 +9,13 @@ Table II metadata, statistics) is checked under any eviction order.
 The same streams check the engine's side of the policy contract: ``victim``
 is asked only on a full set, every ``on_evict`` is followed directly by the
 ``on_fill`` for the same set and way, and nothing the engine or the sweep
-does binds a policy a second time.
+does binds a policy a second time.  They also check Belady's victims, and
+the next-use oracle it reads, against forward scans of the recorded stream.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import hypothesis.strategies as st
@@ -25,6 +27,7 @@ from repro.cache.hierarchy import HIT, MISS, PrivateLevel
 from repro.cache.replacement import POLICY_REGISTRY, make_policy
 from repro.cache.replacement.belady import BeladyPolicy
 from repro.cache.replacement.lru import LRUPolicy
+from repro.traces.oracle import NEVER, NextUseOracle
 from repro.traces.record import AccessType, TraceRecord
 
 from tests.reference_cache import ReferenceCache
@@ -184,6 +187,87 @@ def test_private_level_matches_reference(operations, geometry):
         assert list(lines.items()) == [(ref_line.line_address, ref_line.dirty)
                                        for ref_line in stack]
     assert level.stats.summary() == reference.summary()
+
+
+# -- Belady and the next-use oracle against forward scans ---------------------
+
+
+def _scan(keys, key, after):
+    """Position of the first access to ``key`` after ``after`` (or NEVER)."""
+    for position in range(after + 1, len(keys)):
+        if keys[position] == key:
+            return position
+    return NEVER
+
+
+@_DIFFERENTIAL
+@given(data=st.data())
+def test_next_use_matches_a_forward_scan(data):
+    pool = data.draw(st.lists(st.integers(min_value=0, max_value=23),
+                              min_size=1, max_size=24, unique=True))
+    keys = data.draw(st.lists(st.sampled_from(pool), max_size=200))
+    oracle = NextUseOracle(keys)
+    assert oracle.column == [_scan(keys, key, position)
+                             for position, key in enumerate(keys)]
+    for position, key in enumerate(keys):
+        for other in pool:
+            expected = _scan(keys, other, position - 1)
+            assert oracle.next_use(other) == expected
+            assert (oracle.next_use(other) is NEVER) == (expected is NEVER)
+            assert (oracle.next_use_after(other, position)
+                    == _scan(keys, other, position))
+        for wrong in pool:
+            if wrong != key:
+                with pytest.raises(RuntimeError, match="misalignment"):
+                    oracle.advance(wrong)
+        assert oracle.advance(key) == _scan(keys, key, position)
+    for key in pool:
+        with pytest.raises(RuntimeError, match="misalignment"):
+            oracle.advance(key)
+
+
+def _check_belady(operations, geometry, allow_bypass):
+    sets, ways = geometry
+    config = CacheConfig("ref", sets * ways * 64, ways, latency=1)
+    records = [_record(*op[1:]) for op in operations if op[0]]
+    lines = [record.line_address for record in records]
+    policy = BeladyPolicy(lines, allow_bypass=allow_bypass)
+    policy.bind(config)
+    cache = Cache(config, policy, allow_bypass=allow_bypass,
+                  sanitize="strict")
+    position = 0
+    for roll, line, _, _, _ in operations:
+        if not roll:
+            cache.invalidate_line(line)
+            continue
+        cache_set = cache.sets[config.set_index(line)]
+        residents = [resident.line_address for resident in cache_set.lines
+                     if resident.valid]
+        result = cache.access(records[position])
+        if len(residents) == ways and line not in residents:
+            uses = [_scan(lines, resident, position)
+                    for resident in residents]
+            farthest = max(uses)
+            bypass = allow_bypass and _scan(lines, line, position) > farthest
+            assert result.bypassed == bypass
+            if not bypass:
+                # The lowest way among ties, which only never-reused lines
+                # can form.
+                assert result.evicted_line_address == residents[
+                    uses.index(farthest)]
+        position += 1
+
+
+@_DIFFERENTIAL
+@given(operations=_streams())
+def test_belady_evicts_the_farthest_next_use(operations):
+    # Drawn streams are short, and only the small geometries fill a set
+    # on them, so every stream runs on every geometry ``_geometry`` draws.
+    plain = [operation for operation in operations if operation[0]]
+    for geometry in itertools.product((1, 2, 4), range(2, 9)):
+        for stream in (operations, plain):
+            for allow_bypass in (False, True):
+                _check_belady(stream, geometry, allow_bypass)
 
 
 # -- engine invariants --------------------------------------------------------

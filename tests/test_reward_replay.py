@@ -11,32 +11,34 @@ from repro.rl.reward import (
     NEUTRAL_REWARD,
     NEVER,
     POSITIVE_REWARD,
-    FutureOracle,
     belady_reward,
     belady_reward_vector,
 )
+from repro.traces.oracle import NextUseOracle
 
 from tests.conftest import load
 
 
 class TestFutureOracle:
     def test_next_use_positions(self):
-        oracle = FutureOracle([10, 20, 10, 30])
+        oracle = NextUseOracle([10, 20, 10, 30])
         assert oracle.next_use(10) == 0
-        oracle.advance(10)
+        assert oracle.advance(10) == 2
         assert oracle.next_use(10) == 2
         assert oracle.next_use(20) == 1
         assert oracle.next_use(99) is NEVER
 
     def test_advance_checks_alignment(self):
-        oracle = FutureOracle([10, 20])
-        with pytest.raises(RuntimeError):
+        oracle = NextUseOracle([10, 20])
+        with pytest.raises(RuntimeError, match="misalignment"):
             oracle.advance(20)
 
     def test_exhaustion(self):
-        oracle = FutureOracle([10])
-        oracle.advance(10)
+        oracle = NextUseOracle([10])
+        assert oracle.advance(10) is NEVER
         assert oracle.next_use(10) is NEVER
+        with pytest.raises(RuntimeError, match="misalignment"):
+            oracle.advance(10)
 
 
 def _set_with_lines(config, lines):
@@ -58,7 +60,7 @@ class TestBeladyReward:
     def test_positive_for_farthest_eviction(self, setup):
         _, cache_set = setup
         # Stream: [0, 1, <current miss on 2>, 0, 1]; farthest = line 1.
-        oracle = FutureOracle([0, 1, 2, 0, 2, 1])
+        oracle = NextUseOracle([0, 1, 2, 0, 2, 1])
         for line in (0, 1, 2):
             oracle.advance(line)
         way_of_1 = cache_set.find(1)
@@ -68,7 +70,7 @@ class TestBeladyReward:
         _, cache_set = setup
         # After the miss: 0 reused at 3, inserted line 2 reused at 4,
         # 1 reused at 5. Evicting 0 (reused before 2) is negative.
-        oracle = FutureOracle([0, 1, 2, 0, 2, 1])
+        oracle = NextUseOracle([0, 1, 2, 0, 2, 1])
         for line in (0, 1, 2):
             oracle.advance(line)
         way_of_0 = cache_set.find(0)
@@ -77,7 +79,7 @@ class TestBeladyReward:
     def test_neutral_for_intermediate_choice(self, setup):
         _, cache_set = setup
         # next uses: 0 -> 4, 1 -> 5 (farthest), inserted 2 -> 3.
-        oracle = FutureOracle([0, 1, 2, 2, 0, 1])
+        oracle = NextUseOracle([0, 1, 2, 2, 0, 1])
         for line in (0, 1, 2):
             oracle.advance(line)
         way_of_0 = cache_set.find(0)
@@ -85,7 +87,7 @@ class TestBeladyReward:
 
     def test_vector_agrees_with_scalar(self, setup):
         _, cache_set = setup
-        oracle = FutureOracle([0, 1, 2, 0, 2, 1])
+        oracle = NextUseOracle([0, 1, 2, 0, 2, 1])
         for line in (0, 1, 2):
             oracle.advance(line)
         vector = belady_reward_vector(oracle, cache_set, load(2))
@@ -94,7 +96,7 @@ class TestBeladyReward:
 
     def test_never_reused_line_is_optimal_victim(self, setup):
         _, cache_set = setup
-        oracle = FutureOracle([0, 1, 2, 0, 2])  # line 1 never again
+        oracle = NextUseOracle([0, 1, 2, 0, 2])  # line 1 never again
         for line in (0, 1, 2):
             oracle.advance(line)
         way_of_1 = cache_set.find(1)

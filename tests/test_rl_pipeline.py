@@ -107,7 +107,7 @@ class TestHillClimbing:
         assert result.steps
         assert result.steps[0].candidate_scores
         # Scores are hit rates.
-        assert 0.0 <= result.final_score <= 1.0
+        assert 0.0 <= result.steps[-1].score <= 1.0
 
     def test_steps_monotonic(self, llc_config, stream):
         config = TrainerConfig(hidden_size=8, epochs=1, max_records=800, seed=3)

@@ -12,7 +12,6 @@ from repro.eval.runner import (
     PreparedWorkload,
     compare_policies,
     prepare_workload,
-    record_llc_stream,
     replay,
     run_belady,
     run_workload,
@@ -62,9 +61,6 @@ class TestPreparedWorkload:
         first = _prepared(eval_config, trace, 1, None)
         second = _prepared(eval_config, trace, 1, None)
         assert first is second
-        assert record_llc_stream(eval_config, trace) == record_llc_stream(
-            eval_config, trace
-        )
 
     def test_warmup_index_within_stream(self, eval_config, trace):
         prepared = prepare_workload(eval_config, trace)

@@ -2,16 +2,26 @@
 
 import pytest
 
-from repro.cache import CacheStats
+from repro.cache import Cache, CacheConfig, CacheStats
+from repro.cache.replacement import make_policy
 from repro.traces import AccessType
+
+from tests.conftest import load
+
+
+def count(stats, *hits, misses=()):
+    """Bump the per-type counters as ``Cache`` does on each access."""
+    for access_type in hits:
+        stats.hits[access_type] += 1
+    for access_type in misses:
+        stats.misses[access_type] += 1
 
 
 class TestCounters:
     def test_per_type_hits_and_misses(self):
         stats = CacheStats()
-        stats.record_hit(AccessType.LOAD)
-        stats.record_hit(AccessType.PREFETCH)
-        stats.record_miss(AccessType.RFO)
+        count(stats, AccessType.LOAD, AccessType.PREFETCH,
+              misses=[AccessType.RFO])
         assert stats.hits[AccessType.LOAD] == 1
         assert stats.hits[AccessType.PREFETCH] == 1
         assert stats.misses[AccessType.RFO] == 1
@@ -21,21 +31,24 @@ class TestCounters:
 
     def test_demand_counts_exclude_prefetch_and_writeback(self):
         stats = CacheStats()
-        stats.record_hit(AccessType.LOAD)
-        stats.record_hit(AccessType.RFO)
-        stats.record_hit(AccessType.PREFETCH)
-        stats.record_hit(AccessType.WRITEBACK)
-        stats.record_miss(AccessType.LOAD)
-        stats.record_miss(AccessType.PREFETCH)
+        count(stats, AccessType.LOAD, AccessType.RFO, AccessType.PREFETCH,
+              AccessType.WRITEBACK,
+              misses=[AccessType.LOAD, AccessType.PREFETCH])
         assert stats.demand_hits == 2
         assert stats.demand_misses == 1
         assert stats.demand_accesses == 3
 
     def test_compulsory_flag(self):
-        stats = CacheStats()
-        stats.record_miss(AccessType.LOAD, compulsory=True)
-        stats.record_miss(AccessType.LOAD, compulsory=False)
-        assert stats.compulsory_misses == 1
+        # A one-line cache: line 1 evicts line 0, so the second access to
+        # line 0 misses too, but only first touches count as compulsory.
+        config = CacheConfig("c", 64, 1, latency=1)
+        policy = make_policy("lru")
+        policy.bind(config)
+        cache = Cache(config, policy)
+        for line in (0, 1, 0):
+            cache.access(load(line))
+        assert cache.stats.misses[AccessType.LOAD] == 3
+        assert cache.stats.compulsory_misses == 2
 
 
 class TestRates:
@@ -45,15 +58,13 @@ class TestRates:
 
     def test_hit_rate(self):
         stats = CacheStats()
-        stats.record_hit(AccessType.LOAD)
-        stats.record_miss(AccessType.LOAD)
+        count(stats, AccessType.LOAD, misses=[AccessType.LOAD])
         assert stats.hit_rate == pytest.approx(0.5)
 
     def test_demand_mpki(self):
         stats = CacheStats()
-        for _ in range(5):
-            stats.record_miss(AccessType.LOAD)
-        stats.record_miss(AccessType.PREFETCH)  # not demand
+        # The prefetch miss is not a demand miss.
+        count(stats, misses=[AccessType.LOAD] * 5 + [AccessType.PREFETCH])
         assert stats.demand_mpki(1000) == pytest.approx(5.0)
 
     def test_demand_mpki_zero_instructions(self):
@@ -63,8 +74,8 @@ class TestRates:
 class TestReset:
     def test_reset_zeroes_everything(self):
         stats = CacheStats()
-        stats.record_hit(AccessType.LOAD)
-        stats.record_miss(AccessType.RFO, compulsory=True)
+        count(stats, AccessType.LOAD, misses=[AccessType.RFO])
+        stats.compulsory_misses = 1
         stats.evictions = 3
         stats.dirty_evictions = 2
         stats.bypasses = 1

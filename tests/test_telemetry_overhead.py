@@ -105,7 +105,7 @@ class TestDecisionTracingDisabledPath:
     def test_replay_identical_with_and_without_decision_tracing(self):
         """A traced replay returns bit-identical results, and the trace
         leaves no residue on subsequent untraced replays."""
-        from repro.rl.reward import FutureOracle
+        from repro.traces.oracle import NextUseOracle
         from repro.telemetry.decisions import DecisionTrace
 
         eval_config = EvalConfig(scale=64, trace_length=1500, seed=7)
@@ -113,7 +113,7 @@ class TestDecisionTracingDisabledPath:
         baseline = replay(prepared, "lru")
         decisions = DecisionTrace(
             workload="429.mcf",
-            oracle=FutureOracle(prepared.llc_line_stream),
+            oracle=NextUseOracle(prepared.llc_line_stream),
         )
         traced = replay(prepared, "lru", decisions=decisions)
         after = replay(prepared, "lru")
