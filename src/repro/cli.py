@@ -5,13 +5,15 @@ Commands:
 * ``list``      — available workload models and replacement policies
 * ``simulate``  — one workload under one policy, full result summary
 * ``compare``   — one workload under several policies (+ optional Belady)
-* ``sweep``     — a whole suite, Figure-10-style speedup table + geomean
-  (``--jobs N`` parallelizes over processes; ``--cache-dir`` persists
-  prepared workloads so repeat sweeps skip pass 1; ``--no-cache`` opts out;
-  every sweep journals completed cells to a run directory and
-  ``--resume RUN_ID`` continues an interrupted run — see docs/reliability.md;
-  ``--metrics`` records telemetry to the run directory — see
-  docs/observability.md)
+* ``sweep``     — one scenario (``--scenario``, or a whole ``--suite``
+  under ``lru`` + ``--policies``): the per-cell table, expectations,
+  geomean speedup over lru and the golden check.  Every sweep journals
+  completed cells and writes ``report.json`` to a run directory, and
+  ``--resume RUN_ID`` continues an interrupted run — see
+  docs/reliability.md.  ``--jobs N`` parallelizes over processes;
+  ``--cache-dir`` persists prepared workloads so repeat sweeps skip pass
+  1; ``--metrics`` records telemetry to the run directory — see
+  docs/observability.md
 * ``metrics``   — render a run's recorded telemetry as tables
 * ``replay``    — one workload under one policy; ``--decisions`` records a
   graded per-eviction decision log to a new run directory
@@ -30,10 +32,9 @@ Commands:
   {off,normal,strict}`` selects the policy-contract sanitizer mode,
   ``--strict`` is shorthand)
 * ``scenario``  — the declarative scenario library (see docs/scenarios.md):
-  ``list`` browses ``scenarios/``, ``run`` executes one scenario and checks
-  its expectations (+ golden digest when pinned), ``diff`` renders the
-  readable report diff against the golden, ``bless`` re-records goldens
-  after an intentional behaviour change
+  ``list`` browses ``scenarios/``, ``diff`` renders the readable report
+  diff against the golden, ``bless`` re-records goldens after an
+  intentional behaviour change (``sweep --scenario`` runs one)
 * ``bench``     — the perf observatory: replay / objcache / train /
   overhead benchmarks with phase attribution, appended to the CRC-enveloped
   ``BENCH_history.jsonl``; ``--compare`` regression-gates against a
@@ -51,11 +52,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from repro.cache.replacement import POLICY_REGISTRY
-from repro.eval.metrics import geomean, mix_speedup, speedup_percent
-from repro.eval.reporting import format_speedup_series, format_table
+from repro.eval.metrics import mix_speedup, speedup_percent
+from repro.eval.reporting import format_table
 from repro.eval.runner import _prepared, compare_policies, replay, run_workload
 from repro.eval.workloads import EvalConfig, suite_names
 from repro.runs.checkpoint import CheckpointError
@@ -135,18 +137,68 @@ def cmd_compare(args) -> int:
     return 0
 
 
-#: Manifest keys <-> sweep argparse attributes (for --resume round-trips).
-_SWEEP_MANIFEST_ARGS = (
-    "suite", "policies", "jobs", "scale", "length", "seed",
-    "cache_dir", "no_cache", "timeout", "retries", "metrics", "sanitize",
-    "decisions",
-)
-
 #: Default run-directory root for journaled sweeps.
 DEFAULT_RUN_ROOT = ".repro-runs"
 
+#: The run options a sweep's manifest records; ``--resume`` restores them.
+_RUN_OPTIONS = ("jobs", "cache_dir", "timeout", "retries", "metrics",
+                "decisions")
 
-def _write_sweep_metrics(run, report) -> None:
+#: The flags each kind of ``repro sweep`` reads.  A flag counts as given
+#: when it differs from its default, and a given flag that the sweep does
+#: not read is an error that names it.
+_EVERY_SWEEP = ("jobs", "timeout", "retries", "run_dir", "decisions")
+_SWEEP_READS = {
+    "suite": ("suite", "policies", "scale", "length", "seed", "sanitize",
+              "cache_dir", "metrics") + _EVERY_SWEEP,
+    "cpu_cache": ("scenario", "cache_dir", "metrics", "library", "goldens",
+                  "no_golden_check") + _EVERY_SWEEP,
+    "object_cache": ("scenario", "library", "goldens", "no_golden_check")
+    + _EVERY_SWEEP,
+    "resume": ("resume", "run_dir"),
+}
+
+
+def _flag(key: str) -> str:
+    if key == "sanitize":
+        return "--sanitize/--strict/--no-strict"
+    return "--" + key.replace("_", "-")
+
+
+def _check_sweep_flags(args, kind: str) -> None:
+    """Reject every given flag a sweep of this kind does not read."""
+    reads = _SWEEP_READS[kind]
+    defaults = vars(build_parser().parse_args(["sweep"]))
+    unread = [key for key in sorted(defaults)
+              if key not in reads and getattr(args, key) != defaults[key]]
+    if unread:
+        label = {"suite": "--suite", "resume": "--resume"}.get(
+            kind, f"--scenario {args.scenario} ({kind})")
+        raise ValueError(
+            f"sweep {label} does not read {', '.join(map(_flag, unread))} "
+            f"(it reads only {', '.join(map(_flag, reads))})"
+        )
+
+
+def _suite_scenario(args):
+    """The scenario ``--suite`` sweeps: ``lru`` then ``--policies`` over
+    the suite's models, at ``--scale``/``--length``/``--seed``."""
+    from repro.sanitize import resolve_mode
+    from repro.scenarios import scenario_from_dict
+
+    suite = args.suite or "spec2006"
+    return scenario_from_dict({
+        "name": f"suite-{suite}",
+        "config": {"scale": args.scale, "trace_length": args.length,
+                   "seed": args.seed},
+        "workloads": suite_names(suite),
+        "policies": ["lru"] + [p for p in args.policies if p != "lru"],
+        # Resolved once, so REPRO_SANITIZE applies and --resume keeps it.
+        "sanitize": resolve_mode(args.sanitize),
+    }, source=f"--suite {suite}")
+
+
+def _write_sweep_metrics(run, seed_reports) -> None:
     """Persist + print the deterministic telemetry payload for one sweep."""
     from repro.telemetry.export import (
         build_payload,
@@ -154,12 +206,19 @@ def _write_sweep_metrics(run, report) -> None:
         write_metrics_json,
     )
     from repro.telemetry.instruments import sweep_snapshot, sweep_timings
+    from repro.telemetry.registry import merge_snapshots
 
+    timings, ops = {}, Counter()
+    for seed, report in seed_reports:
+        prefix = f"seed {seed} " if len(seed_reports) > 1 else ""
+        for key, value in sweep_timings(report).items():
+            timings[prefix + key] = value
+        ops.update(report.pool_stats)
     payload = build_payload(
         "sweep",
-        sweep_snapshot(report),
-        timings=sweep_timings(report),
-        ops=dict(report.pool_stats),
+        merge_snapshots(sweep_snapshot(report) for _, report in seed_reports),
+        timings=timings,
+        ops=dict(ops),
         meta={"run_id": run.run_id, "args": run.manifest.get("args", {})},
     )
     write_metrics_json(run.metrics_path, payload)
@@ -167,19 +226,19 @@ def _write_sweep_metrics(run, report) -> None:
     print(f"metrics written to {run.metrics_path}", file=sys.stderr)
 
 
-def _write_sweep_decisions(run, report, sample_rate) -> None:
-    """Persist + summarize the per-eviction decision logs for one sweep."""
+def _write_sweep_decisions(run, seed_reports) -> None:
+    """Persist + summarize the sweep's decision logs, when it kept any."""
     from repro.telemetry.decisions import write_decisions_jsonl
 
-    missing = [cell for cell in report.cells
-               if cell.ok and not getattr(cell, "decisions", None)]
-    if missing:
-        print(f"note: {len(missing)} journaled cell(s) predate --decisions "
-              f"and carry no decision log", file=sys.stderr)
-    cells = report.decision_payloads()
+    cells = [dict(payload, seed=seed) for seed, report in seed_reports
+             for payload in report.decision_payloads()]
     if not cells:
-        print("no decision payloads to write", file=sys.stderr)
         return
+    missing = sum(cell.ok and not cell.decisions
+                  for _, report in seed_reports for cell in report.cells)
+    if missing:
+        print(f"note: {missing} cell(s) adopted from the journal carry no "
+              f"decision log", file=sys.stderr)
     write_decisions_jsonl(run.decisions_path, cells)
     rows = []
     for cell in cells:
@@ -188,170 +247,87 @@ def _write_sweep_decisions(run, report, sample_rate) -> None:
         rows.append({
             "workload": cell.get("workload"),
             "policy": cell.get("policy"),
+            "seed": cell["seed"],
             "evictions": summary.get("evictions", 0),
             "harmful": summary.get("harmful", 0),
-            "regret": round(summary.get("regret_x2", 0) / (2 * graded), 4)
+            "regret": f"{summary.get('regret_x2', 0) / (2 * graded):.4f}"
             if graded else "-",
         })
     print(format_table(
         rows,
-        headers=["workload", "policy", "evictions", "harmful", "regret"],
-        title=f"Belady regret per cell (decision sample rate {sample_rate})",
+        headers=["workload", "policy", "seed", "evictions", "harmful",
+                 "regret"],
+        title=f"Belady regret per cell (decision sample rate "
+              f"{cells[0]['sample_rate']})",
     ))
     print(f"decision logs written to {run.decisions_path} "
           f"(drill down with: repro inspect {run.run_id})", file=sys.stderr)
 
 
-#: The sweep flags ``repro sweep --scenario`` reads, per scenario kind;
-#: the scenario file pins what the others would set.
-_SCENARIO_SWEEP_ARGS = {
-    "cpu_cache": ("jobs", "cache_dir", "decisions"),
-    "object_cache": ("jobs", "decisions", "timeout", "retries", "run_dir",
-                     "resume"),
-}
+def _golden_regressed(scenario, payload, goldens) -> bool:
+    """Print the golden verdict of a ``golden: true`` scenario's report."""
+    from repro.scenarios import compare_to_golden
 
-
-def _cmd_sweep_scenario(args) -> int:
-    """``repro sweep --scenario``: sweep one declarative scenario.
-
-    Object-cache scenarios get the full treatment — a run directory, a
-    deterministic CSV report, and a size-graded object decision log that
-    ``repro inspect`` renders as size-vs-victim profiles.  CPU scenarios
-    delegate to the scenario runner (same output as ``repro scenario run``).
-    A flag the scenario's kind does not read is an error, not ignored.
-    """
-    from repro.scenarios import resolve_scenario
-
-    scenario = resolve_scenario(args.scenario)
-    kind = getattr(scenario, "scenario_kind", "cpu_cache")
-    # A flag counts as given when its value differs from the default.
-    reads = _SCENARIO_SWEEP_ARGS[kind]
-    defaults = build_parser().parse_args(["sweep", "--scenario",
-                                          args.scenario])
-    unread = ", ".join("--" + key.replace("_", "-")
-                       for key, default in sorted(vars(defaults).items())
-                       if key not in reads and getattr(args, key) != default)
-    if unread:
-        raise ValueError(
-            f"sweep --scenario {args.scenario} ({kind}) does not read "
-            + unread.replace("--sanitize", "--sanitize/--strict/--no-strict")
-            + " (it reads only --" + ", --".join(reads).replace("_", "-")
-            + ")"
-        )
-    if kind != "object_cache":
-        from repro.scenarios import run_scenario
-
-        payload = run_scenario(
-            scenario, jobs=args.jobs, cache_dir=args.cache_dir,
-            progress=lambda message: print(message, file=sys.stderr),
-            decisions=args.decisions,
-        )
-        _print_scenario_report(scenario, payload)
-        return 0 if payload["ok"] else 1
-
-    from repro.objcache.replay import object_sweep
-    from repro.runs.supervisor import SweepInterrupted, create_run, load_run
-    from repro.scenarios.object_runner import object_scenario_traces
-    from repro.telemetry.decisions import write_decisions_jsonl
-
-    run_root = args.run_dir or DEFAULT_RUN_ROOT
-    if args.resume:
-        run = load_run(run_root, args.resume)
-        # The manifest wins, exactly like scalar sweeps: the resumed sweep
-        # must rebuild the same grid for a byte-identical report.
-        for key, value in run.manifest.get("args", {}).items():
-            setattr(args, key, value)
-        scenario = resolve_scenario(args.scenario)
-        run.mark("running")
-        print(f"resuming {run.run_id} "
-              f"({len(run.journal())} journal entries)", file=sys.stderr)
+    diff = compare_to_golden(scenario.name, payload, root=goldens)
+    if diff is None:
+        print("no golden recorded yet (pin one with: repro scenario "
+              f"bless {scenario.name})", file=sys.stderr)
+    elif diff:
+        print("\ngolden regression:")
+        for line in diff:
+            print(f"  {line}")
+        return True
     else:
-        run = create_run(run_root, {
-            "kind": "objcache-sweep",
-            "args": {"scenario": args.scenario, "jobs": args.jobs,
-                     "decisions": args.decisions},
-        })
-        print(f"run {run.run_id} -> {run.path}", file=sys.stderr)
-    journal = run.journal()
-    # Object sweeps grade every eviction against the size-aware Belady
-    # oracle by default; --decisions N only thins the event snapshots.
-    decisions = args.decisions if args.decisions is not None else 1
-    seeds = scenario.run_seeds
-    csv_parts = []
-    decision_cells = []
-    failed = 0
-    try:
-        for seed in seeds:
-            traces = object_scenario_traces(scenario, seed)
-            report = object_sweep(
-                traces,
-                scenario.config.capacity_bytes,
-                list(scenario.policies),
-                admission=scenario.admission,
-                policy_params=scenario.params,
-                jobs=args.jobs,
-                timeout=args.timeout,
-                retries=args.retries,
-                sanitize=scenario.sanitize,
-                decisions=decisions,
-                journal=journal,
-                journal_tag=seed,
-            )
-            failed += len(report.failures())
-            if len(seeds) > 1:
-                csv_parts.append(f"# seed {seed}")
-            csv_parts.append(report.to_csv().rstrip("\n"))
-            for cell in report.decision_payloads():
-                payload = dict(cell)
-                payload["seed"] = seed
-                decision_cells.append(payload)
-            print(report.format())
-    except SweepInterrupted as interrupt:
-        run.mark("interrupted")
-        print(f"\ninterrupted: {interrupt.completed} completed cell(s) "
-              f"journaled in {run.journal_path}\nresume with: "
-              f"repro sweep --run-dir {run_root} --resume {run.run_id}",
-              file=sys.stderr)
-        return 130
-    run.write_report("\n".join(csv_parts) + "\n")
-    if decision_cells:
-        write_decisions_jsonl(run.decisions_path, decision_cells)
-        print(f"object decision log written to {run.decisions_path} "
-              f"(drill down with: repro inspect {run.run_id})",
-              file=sys.stderr)
-    run.mark("complete" if not failed else "failed")
-    if failed:
-        print(f"{failed} cell(s) failed", file=sys.stderr)
-        return 1
-    return 0
+        print("golden check: report matches the blessed digest")
+    return False
 
 
 def cmd_sweep(args) -> int:
+    """``repro sweep``: run one scenario, journaled into a run directory.
+
+    The scenario is ``--scenario``'s, one built from ``--suite``, or the one
+    a run directory's manifest holds (``--resume``).  Every completed cell
+    is journaled, and the run directory gets ``report.json``: the canonical
+    report payload, which depends on the scenario alone.  ``--metrics`` and
+    ``--decisions`` add side artifacts next to it.
+    """
     from repro import telemetry
-    from repro.eval.parallel import parallel_sweep
+    from repro.eval.parallel import _check_options
     from repro.runs.supervisor import SweepInterrupted, create_run, load_run
+    from repro.scenarios import resolve_scenario, scenario_from_dict
+    from repro.scenarios.runner import scenario_report, sweep_scenario
 
     if args.scenario:
-        return _cmd_sweep_scenario(args)
-
+        scenario = resolve_scenario(args.scenario, root=args.library)
+        _check_sweep_flags(args, scenario.scenario_kind)
+    elif args.resume:
+        _check_sweep_flags(args, "resume")
+    else:
+        _check_sweep_flags(args, "suite")
+        scenario = _suite_scenario(args)
     run_root = args.run_dir or DEFAULT_RUN_ROOT
     if args.resume:
         run = load_run(run_root, args.resume)
-        if run.manifest.get("kind") == "objcache-sweep":
-            # An interrupted object-scenario sweep: resume it in kind.
-            args.scenario = run.manifest.get("args", {}).get("scenario")
-            return _cmd_sweep_scenario(args)
-        # The manifest wins: the resumed sweep must rebuild the exact grid
-        # (same EvalConfig, workloads, policies) for a byte-identical report.
+        if "scenario" not in run.manifest:
+            raise ValueError(
+                f"run {run.run_id} records no scenario in its manifest, so "
+                f"it cannot be resumed"
+            )
+        # The manifest wins: the resumed sweep must rebuild the same grid
+        # for a byte-identical report.
+        scenario = scenario_from_dict(run.manifest["scenario"],
+                                      source=str(run.path))
         for key, value in run.manifest.get("args", {}).items():
             setattr(args, key, value)
         run.mark("running")
         print(f"resuming {run.run_id} "
               f"({len(run.journal())} journal entries)", file=sys.stderr)
     else:
+        _check_options(args.jobs, args.decisions)  # before the run exists
         run = create_run(run_root, {
             "kind": "sweep",
-            "args": {key: getattr(args, key) for key in _SWEEP_MANIFEST_ARGS},
+            "scenario": scenario.as_dict(),
+            "args": {key: getattr(args, key) for key in _RUN_OPTIONS},
         })
         print(f"run {run.run_id} -> {run.path} "
               f"(resumable with --resume {run.run_id})", file=sys.stderr)
@@ -360,23 +336,18 @@ def cmd_sweep(args) -> int:
         telemetry.configure(
             registry=telemetry.MetricsRegistry(), span_path=run.spans_path
         )
-    eval_config = _eval_config(args)
-    lineup = ["lru"] + [policy for policy in args.policies if policy != "lru"]
     try:
-        with telemetry.span("sweep", run_id=run.run_id, suite=args.suite):
-            report = parallel_sweep(
-                eval_config,
-                suite_names(args.suite),
-                lineup,
+        with telemetry.span("sweep", run_id=run.run_id,
+                            scenario=scenario.name):
+            seed_reports = sweep_scenario(
+                scenario,
                 jobs=args.jobs,
                 cache_dir=args.cache_dir,
-                use_cache=not args.no_cache,
                 progress=lambda message: print(message, file=sys.stderr),
+                decisions=args.decisions,
+                journal=run.journal(),
                 timeout=args.timeout,
                 retries=args.retries,
-                journal=run.journal(),
-                sanitize=args.sanitize,
-                decisions=args.decisions,
             )
     except SweepInterrupted as interrupt:
         run.mark("interrupted")
@@ -386,55 +357,24 @@ def cmd_sweep(args) -> int:
               f"repro sweep --run-dir {run_root} --resume {run.run_id}",
               file=sys.stderr)
         return 130
-    run.write_report(report.to_csv())
     telemetry.shutdown()
+    payload = scenario_report(scenario, seed_reports)
+    run.write_report(payload)
     if args.metrics:
-        _write_sweep_metrics(run, report)
-    if args.decisions:
-        _write_sweep_decisions(run, report, args.decisions)
-    table = report.table()
-    series = {}
-    for name in suite_names(args.suite):
-        row = table.get(name, {})
-        if "lru" not in row:
-            continue
-        baseline = row["lru"].single_ipc
-        series[name] = {
-            policy: row[policy].single_ipc / baseline
-            for policy in args.policies
-            if policy in row
-        }
-    print(format_speedup_series(series, args.policies,
-                                title=f"IPC speedup over LRU ({args.suite})"))
-    print("\nsuite geomean:")
-    for policy in args.policies:
-        values = [row[policy] for row in series.values() if policy in row]
-        if values:
-            overall = geomean(values)
-            print(f"  {policy:10s} {(overall - 1) * 100:+.2f}%")
-        else:
-            print(f"  {policy:10s} (no results)")
-    prep = report.prep_cache_stats
-    if prep:
-        print(f"\nprep cache: {prep.get('hits', 0)} hit(s), "
-              f"{prep.get('misses', 0)} miss(es), "
-              f"{prep.get('corrupt', 0)} corrupt")
-    degraded = [cell for cell in report.cells if cell.ok and cell.violations]
-    if degraded:
-        print(f"\n{len(degraded)} cell(s) degraded to LRU by the policy "
-              f"sanitizer (numbers are LRU's from the first violation on):")
-        for cell in degraded:
-            print(f"  {cell.workload}/{cell.policy}: {cell.violations[0]}")
-    failures = report.failures()
-    if failures:
-        run.mark("failed")
-        print(f"\n{len(failures)} cell(s) failed:")
-        for cell in failures:
-            last = cell.error.strip().splitlines()[-1] if cell.error else "?"
-            print(f"  {cell.workload}/{cell.policy}: {last}")
-        return 1
-    run.mark("complete")
-    return 0
+        _write_sweep_metrics(run, seed_reports)
+    _write_sweep_decisions(run, seed_reports)
+    _print_scenario_report(scenario, payload)
+    if args.cache_dir:
+        prep = Counter()
+        for _, report in seed_reports:
+            prep.update(report.prep_cache_stats)
+        print(f"\nprep cache: {prep['hits']} hit(s), {prep['misses']} "
+              f"miss(es), {prep['corrupt']} corrupt")
+    regressed = (scenario.golden and not args.no_golden_check
+                 and _golden_regressed(scenario, payload, args.goldens))
+    failed = any(cell["status"] == "failed" for cell in payload["cells"])
+    run.mark("failed" if failed else "complete")
+    return 0 if payload["ok"] and not regressed else 1
 
 
 def cmd_metrics(args) -> int:
@@ -615,7 +555,6 @@ def cmd_bench(args) -> int:
                                                        dict)
     }
     names = list(BENCHES) if args.which == "all" else [args.which]
-    report_rows = []
     current = {}
     for name in names:
         if name in done:
@@ -644,10 +583,6 @@ def cmd_bench(args) -> int:
                 print(f"flamegraph (collapsed stacks) -> {flame_path}",
                       file=sys.stderr)
         current[name] = payload
-        for policy, rate in sorted(payload["rates"].items()):
-            report_rows.append(f"{name},{policy},{rate}")
-        for check, verdict in sorted(payload.get("checks", {}).items()):
-            report_rows.append(f"{name},{check},{verdict.get('value')}")
         if payload["rates"]:
             rows = [
                 {"policy": policy, payload["unit"]: rate}
@@ -669,9 +604,6 @@ def cmd_bench(args) -> int:
                                headers=["check", "value", "budget", "ok"],
                                title=f"bench {name} (budget checks)"))
         print(f"wrote {path}")
-    run.write_report(
-        "bench,policy,rate\n" + "\n".join(report_rows) + "\n"
-    )
     run.mark("complete")
     exit_code = 0
     for name, payload in current.items():
@@ -925,44 +857,59 @@ def _scenario_library(args):
     return load_library(args.library)
 
 
+#: The report table's metric columns, per scenario kind.  (IPC and regret
+#: are strings because ``format_table`` renders floats to two decimals.)
+_REPORT_COLUMNS = {
+    "cpu_cache": {
+        "ipc": lambda cell: f"{cell['ipc'][0]:.4f}",
+        "hit%": lambda cell: round(100 * cell["hit_rate"], 2),
+        "mpki": lambda cell: round(cell["demand_mpki"], 2),
+    },
+    "object_cache": {
+        "byte-hit%": lambda cell: round(100 * cell["byte_hit_rate"], 2),
+        "obj-hit%": lambda cell: round(100 * cell["object_hit_rate"], 2),
+        "evictions": lambda cell: cell["stats"]["evictions"],
+    },
+}
+
+
+def _cell_label(cell) -> str:
+    return f"{cell['workload']}/{cell['policy']} (seed {cell['seed']})"
+
+
 def _print_scenario_report(scenario, payload) -> None:
+    """The terminal view of a report payload, one table for both kinds."""
+    from repro.scenarios import report_digest
+    from repro.scenarios.runner import speedup_over
+
+    columns = _REPORT_COLUMNS[scenario.scenario_kind]
     rows = []
-    object_cells = False
     for cell in payload["cells"]:
-        if "byte_hit_rate" in cell:  # object-cache scenario cell
-            object_cells = True
-            row = {
-                "workload": cell["workload"],
-                "policy": cell["policy"],
-                "seed": cell["seed"],
-                "byte-hit%": round(100 * cell["byte_hit_rate"], 2),
-                "obj-hit%": round(100 * cell["object_hit_rate"], 2),
-                "evictions": cell["stats"]["evictions"],
-            }
-        else:
-            row = {
-                "workload": cell["workload"],
-                "policy": cell["policy"],
-                "seed": cell["seed"],
-                "ipc": round(cell["ipc"][0], 4),
-                "hit%": round(100 * cell["hit_rate"], 2),
-                "mpki": round(cell["demand_mpki"], 2),
-            }
+        row = {"workload": cell["workload"], "policy": cell["policy"],
+               "seed": cell["seed"]}
+        for name, value in columns.items():
+            row[name] = "-" if cell["status"] == "failed" else value(cell)
         regret = cell.get("regret")
         if regret and regret.get("graded"):
-            row["regret"] = round(
-                regret["regret_x2"] / (2 * regret["graded"]), 4
-            )
+            row["regret"] = \
+                f"{regret['regret_x2'] / (2 * regret['graded']):.4f}"
         rows.append(row)
-    if object_cells:
-        headers = ["workload", "policy", "seed", "byte-hit%", "obj-hit%",
-                   "evictions"]
-    else:
-        headers = ["workload", "policy", "seed", "ipc", "hit%", "mpki"]
+    headers = ["workload", "policy", "seed", *columns]
     if any("regret" in row for row in rows):
         headers.append("regret")
     print(format_table(rows, headers=headers,
                        title=scenario.title or scenario.name))
+    degraded = [c for c in payload["cells"] if c["status"] == "degraded"]
+    if degraded:
+        print(f"\n{len(degraded)} cell(s) degraded to LRU by the policy "
+              f"sanitizer (numbers are LRU's from the first violation on):")
+        for cell in degraded:
+            print(f"  {_cell_label(cell)}: {cell['violations'][0]}")
+    failed = [c for c in payload["cells"] if c["status"] == "failed"]
+    if failed:
+        print(f"\n{len(failed)} cell(s) failed:")
+        for cell in failed:
+            print(f"  {_cell_label(cell)}: {cell['error']}")
     for result in payload["expectations"]:
         status = "PASS" if result["status"] == "pass" else "FAIL"
         print(f"  expect {result['expect']}: {status}")
@@ -973,6 +920,15 @@ def _print_scenario_report(scenario, payload) -> None:
         print("  conservation violations:")
         for problem in conservation["problems"]:
             print(f"    - {problem}")
+    if scenario.scenario_kind == "cpu_cache" and "lru" in scenario.policies:
+        ran = [cell for cell in payload["cells"] if cell["status"] != "failed"]
+        print("\ngeomean speedup over lru:")
+        for policy in scenario.policies:
+            if policy != "lru":
+                speedup = speedup_over(ran, "lru", policy)
+                print(f"  {policy:10s} " + ("(no results)" if speedup is None
+                                            else f"{speedup:+.2f}%"))
+    print(f"report digest: {report_digest(payload)}")
 
 
 def cmd_scenario_list(args) -> int:
@@ -1000,45 +956,6 @@ def cmd_scenario_list(args) -> int:
         title=f"scenario library ({len(library)} scenarios)",
     ))
     return 0
-
-
-def cmd_scenario_run(args) -> int:
-    import json as json_module
-
-    from repro.scenarios import (
-        check_report,
-        compare_to_golden,
-        report_digest,
-        resolve_scenario,
-        run_scenario,
-    )
-
-    scenario = resolve_scenario(args.name, root=args.library)
-    payload = run_scenario(
-        scenario, jobs=args.jobs, cache_dir=args.cache_dir,
-        progress=lambda message: print(message, file=sys.stderr),
-        decisions=args.decisions,
-    )
-    _print_scenario_report(scenario, payload)
-    print(f"report digest: {report_digest(payload)}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json_module.dump(payload, handle, sort_keys=True, indent=1)
-        print(f"report written to {args.json}", file=sys.stderr)
-    failed = check_report(payload)
-    if scenario.golden and not args.no_golden_check:
-        diff = compare_to_golden(scenario.name, payload, root=args.goldens)
-        if diff is None:
-            print("no golden recorded yet (pin one with: repro scenario "
-                  f"bless {scenario.name})", file=sys.stderr)
-        elif diff:
-            print("\ngolden regression:")
-            for line in diff:
-                print(f"  {line}")
-            return 1
-        else:
-            print("golden check: report matches the blessed digest")
-    return 1 if failed else 0
 
 
 def cmd_scenario_diff(args) -> int:
@@ -1102,7 +1019,6 @@ def cmd_scenario_bless(args) -> int:
 def cmd_scenario(args) -> int:
     handlers = {
         "list": cmd_scenario_list,
-        "run": cmd_scenario_run,
         "diff": cmd_scenario_diff,
         "bless": cmd_scenario_bless,
     }
@@ -1133,22 +1049,29 @@ def build_parser() -> argparse.ArgumentParser:
                          help="include the offline-optimal policy")
     _add_eval_arguments(compare)
 
-    sweep = commands.add_parser("sweep", help="sweep a whole suite")
-    sweep.add_argument("--suite", choices=("spec2006", "cloudsuite"),
-                       default="spec2006")
+    sweep = commands.add_parser(
+        "sweep", help="run a scenario (or a whole suite) in a resumable run "
+                      "directory"
+    )
+    # --scenario, --suite and --resume exclude each other through the flag
+    # table (_SWEEP_READS), which names every unread flag at once.
     sweep.add_argument("--scenario", default=None, metavar="NAME",
-                       help="sweep a declarative scenario instead of a "
-                            "suite (library name or file path; object_cache "
-                            "scenarios record size-graded decision logs in "
-                            "the run directory)")
+                       help="sweep a declarative scenario (library name or "
+                            "file path)")
+    sweep.add_argument("--suite", choices=("spec2006", "cloudsuite"),
+                       default=None,
+                       help="sweep lru and --policies over a suite's models "
+                            "(the default, with spec2006)")
+    sweep.add_argument("--resume", metavar="RUN_ID", default=None,
+                       help="resume an interrupted run (e.g. run-0001) with "
+                            "the scenario and options its manifest records; "
+                            "journaled cells are not re-run")
     _policies_argument(sweep, ("drrip", "ship++", "rlr"))
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep (default 1)")
     sweep.add_argument("--cache-dir", default=None,
                        help="persist prepared workloads to this directory "
                             "(repeat sweeps skip pass 1)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="ignore any prepared-workload cache")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-cell wall-clock watchdog in seconds "
                             "(hung workers are killed and retried)")
@@ -1156,11 +1079,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retries for crashed/timed-out cells "
                             "(exponential backoff with jitter)")
     sweep.add_argument("--run-dir", default=None,
-                       help="root for run directories (journal + report; "
-                            f"default {DEFAULT_RUN_ROOT})")
-    sweep.add_argument("--resume", metavar="RUN_ID", default=None,
-                       help="resume an interrupted run (e.g. run-0001); "
-                            "journaled cells are not re-run")
+                       help="root for run directories (journal + "
+                            f"report.json; default {DEFAULT_RUN_ROOT})")
     sweep.add_argument("--metrics", action="store_true",
                        help="record telemetry: print a counters/timings "
                             "summary, write metrics.json + spans.jsonl to "
@@ -1185,6 +1105,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "directory; optional value keeps "
                             "every Nth event snapshot, aggregates always "
                             "cover all evictions; see repro inspect)")
+    sweep.add_argument("--library", default=None, metavar="DIR",
+                       help="scenario library root for --scenario (default: "
+                            "scenarios/ or REPRO_SCENARIO_DIR)")
+    sweep.add_argument("--goldens", default=None, metavar="DIR",
+                       help="golden-report directory (default: "
+                            "tests/goldens/ or REPRO_GOLDEN_DIR)")
+    sweep.add_argument("--no-golden-check", action="store_true",
+                       help="skip the golden-digest comparison of a "
+                            "'golden: true' scenario")
     _add_eval_arguments(sweep)
 
     metrics = commands.add_parser(
@@ -1358,7 +1287,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "way a quarantining load would skip them")
 
     scenario = commands.add_parser(
-        "scenario", help="browse / run / diff / bless declarative scenarios"
+        "scenario", help="browse / diff / bless declarative scenarios"
     )
     scenario_commands = scenario.add_subparsers(
         dest="scenario_command", required=True
@@ -1379,23 +1308,6 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="browse the scenario library"
     )
     _scenario_common(scenario_list, golden_dir=False)
-
-    scenario_run = scenario_commands.add_parser(
-        "run", help="run one scenario, check expectations and golden"
-    )
-    scenario_run.add_argument("name",
-                              help="scenario name (library) or file path")
-    _scenario_common(scenario_run)
-    scenario_run.add_argument("--json", metavar="PATH", default=None,
-                              help="also write the full report payload here")
-    scenario_run.add_argument("--cache-dir", default=None,
-                              help="prepared-workload cache directory")
-    scenario_run.add_argument("--decisions", nargs="?", const=1, type=int,
-                              default=None, metavar="SAMPLE_RATE",
-                              help="force per-eviction decision grading "
-                                   "(automatic for regret expectations)")
-    scenario_run.add_argument("--no-golden-check", action="store_true",
-                              help="skip the golden-digest comparison")
 
     scenario_diff = scenario_commands.add_parser(
         "diff", help="readable report diff against the golden (or a report)"

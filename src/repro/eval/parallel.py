@@ -18,8 +18,8 @@ with no pass 1, so everything below holds for both cache kinds.
 
 Determinism: every cell is a pure function of its inputs, and results are
 merged sorted by ``(workload, policy)``, so ``jobs=1`` and ``jobs=N``
-produce byte-identical reports (:meth:`SweepReport.to_csv` /
-:meth:`SweepReport.format` — the differential test asserts this).
+produce equal reports, cell for cell (the differential test asserts this;
+:mod:`repro.scenarios.runner` renders them as the canonical payload).
 
 Fault tolerance (the ``repro.runs`` reliability contract):
 
@@ -71,6 +71,10 @@ from repro.traces.record import Trace
 #: Policy name handled specially: the recorded stream is its future input.
 BELADY = "belady"
 
+#: The decision-summary counters a cell keeps as its ``regret``.
+REGRET_KEYS = ("evictions", "graded", "optimal", "neutral", "harmful",
+               "regret_x2")
+
 
 @dataclass
 class CellResult:
@@ -91,6 +95,14 @@ class CellResult:
     #: sweep ran with ``decisions=``; never journaled (cells adopted on
     #: --resume have ``decisions=None`` — the log cannot cover them).
     decisions: Optional[dict] = None
+    #: The decision log's Belady-regret counters (:data:`REGRET_KEYS`).
+    #: Journaled, unlike the log, so a cell adopted on --resume keeps them.
+    regret: Optional[dict] = None
+
+    def __post_init__(self):
+        if self.decisions and self.regret is None:
+            summary = self.decisions.get("summary", {})
+            self.regret = {key: summary.get(key, 0) for key in REGRET_KEYS}
 
     @property
     def ok(self) -> bool:
@@ -98,7 +110,7 @@ class CellResult:
 
     @property
     def status(self) -> str:
-        """``"ok"`` | ``"degraded"`` | ``"failed"`` (what to_csv prints)."""
+        """``"ok"`` | ``"degraded"`` | ``"failed"``."""
         if self.error is not None:
             return "failed"
         return "degraded" if self.violations else "ok"
@@ -159,110 +171,11 @@ class SweepReport:
             if getattr(cell, "decisions", None)
         ]
 
-    def _object_cells(self) -> bool:
-        """True when the cells carry object-cache results (duck-typed on
-        ``byte_hit_rate``, which CPU ``SystemResult`` objects lack)."""
-        for cell in self.cells:
-            if cell.ok:
-                return hasattr(cell.result, "byte_hit_rate")
-        return False
-
-    def to_csv(self) -> str:
-        """Full-precision deterministic serialization (byte-comparable)."""
-        if self._object_cells():
-            return self._object_to_csv()
-        lines = ["workload,policy,status,ipc,llc_hit_rate,demand_hit_rate,demand_mpki"]
-        for cell in self.cells:
-            if cell.ok:
-                result = cell.result
-                lines.append(
-                    f"{cell.workload},{cell.policy},{cell.status},"
-                    f"{result.single_ipc!r},{result.llc_hit_rate!r},"
-                    f"{result.llc_demand_hit_rate!r},{result.demand_mpki!r}"
-                )
-            else:
-                first = cell.error.strip().splitlines()[-1] if cell.error else ""
-                lines.append(
-                    f"{cell.workload},{cell.policy},failed,"
-                    f"{first.replace(',', ';')},,,"
-                )
-        return "\n".join(lines) + "\n"
-
-    def _object_to_csv(self) -> str:
-        lines = ["workload,policy,status,byte_hit_rate,object_hit_rate,"
-                 "evictions,evicted_bytes"]
-        for cell in self.cells:
-            if cell.ok:
-                result = cell.result
-                lines.append(
-                    f"{cell.workload},{cell.policy},{cell.status},"
-                    f"{result.byte_hit_rate!r},{result.object_hit_rate!r},"
-                    f"{result.evictions},{result.evicted_bytes}"
-                )
-            else:
-                first = cell.error.strip().splitlines()[-1] if cell.error else ""
-                lines.append(
-                    f"{cell.workload},{cell.policy},failed,"
-                    f"{first.replace(',', ';')},,,"
-                )
-        return "\n".join(lines) + "\n"
-
-    def format(self) -> str:
-        """Human-readable per-cell table (also deterministic)."""
-        from repro.eval.reporting import format_table
-
-        object_cells = self._object_cells()
-        rows = []
-        for cell in self.cells:
-            if cell.ok:
-                status = "ok"
-                if cell.violations:
-                    status = f"DEGRADED: {cell.violations[0].replace(',', ';')}"
-                if object_cells:
-                    rows.append({
-                        "workload": cell.workload,
-                        "policy": cell.policy,
-                        "byte-hit%": round(100 * cell.result.byte_hit_rate, 2),
-                        "obj-hit%": round(100 * cell.result.object_hit_rate, 2),
-                        "evictions": cell.result.evictions,
-                        "status": status,
-                    })
-                else:
-                    rows.append({
-                        "workload": cell.workload,
-                        "policy": cell.policy,
-                        "ipc": round(cell.result.single_ipc, 4),
-                        "hit%": round(100 * cell.result.llc_hit_rate, 2),
-                        "mpki": round(cell.result.demand_mpki, 2),
-                        "status": status,
-                    })
-            else:
-                last = cell.error.strip().splitlines()[-1] if cell.error else "?"
-                row = {"workload": cell.workload, "policy": cell.policy,
-                       "status": f"FAILED: {last}"}
-                if object_cells:
-                    row.update({"byte-hit%": "-", "obj-hit%": "-",
-                                "evictions": "-"})
-                else:
-                    row.update({"ipc": "-", "hit%": "-", "mpki": "-"})
-                rows.append(row)
-        if object_cells:
-            headers = ["workload", "policy", "byte-hit%", "obj-hit%",
-                       "evictions", "status"]
-        else:
-            headers = ["workload", "policy", "ipc", "hit%", "mpki", "status"]
-        return format_table(
-            rows,
-            headers=headers,
-            title=f"sweep: {len(self.workloads)} workloads x "
-                  f"{len(self.policies)} policies",
-        )
-
 
 # -- journal codec -------------------------------------------------------------
 #
 # JSON round-trips Python floats exactly (repr-based shortest encoding), so a
-# cell reloaded from the journal renders byte-identically in to_csv()/format().
+# cell reloaded from the journal equals the cell that was journaled.
 
 
 def journal_cell_entry(cell: CellResult, tag=None) -> dict:
@@ -273,8 +186,8 @@ def journal_cell_entry(cell: CellResult, tag=None) -> dict:
     :class:`~repro.objcache.replay.ObjectCacheResult` (duck-typed on
     ``byte_hit_rate`` and tagged ``"result_kind": "object"`` so the reader
     rebuilds the right dataclass).  ``tag`` distinguishes otherwise
-    identical grids sharing one journal (e.g. the per-seed passes of a
-    multi-seed object scenario).
+    identical grids sharing one journal (the per-seed passes of a
+    multi-seed scenario).
     """
     entry = {
         "type": "cell",
@@ -291,6 +204,8 @@ def journal_cell_entry(cell: CellResult, tag=None) -> dict:
         entry["tag"] = tag
     if cell.violations:
         entry["violations"] = list(cell.violations)
+    if cell.regret is not None:
+        entry["regret"] = cell.regret
     return entry
 
 
@@ -320,6 +235,7 @@ def cell_from_journal_entry(entry: dict) -> Optional[CellResult]:
         violations=tuple(
             str(item) for item in entry.get("violations", ())
         ),
+        regret=entry.get("regret"),
     )
 
 
@@ -629,6 +545,7 @@ def parallel_sweep(
     timeout: Optional[float] = None,
     retries: int = 0,
     journal=None,
+    journal_tag=None,
     sanitize: Optional[str] = None,
     decisions: Optional[int] = None,
 ) -> SweepReport:
@@ -648,8 +565,10 @@ def parallel_sweep(
     transient worker failures, and ``journal`` (a
     :class:`~repro.runs.journal.RunJournal`) makes the sweep resumable —
     already-journaled cells are skipped and completed cells are appended
-    durably.  Setting ``timeout`` or ``retries`` routes even ``jobs=1``
-    sweeps through worker processes (a watchdog needs something to kill).
+    durably; ``journal_tag`` disambiguates grids that share a journal (the
+    per-seed passes of a scenario).  Setting ``timeout`` or ``retries``
+    routes even ``jobs=1`` sweeps through worker processes (a watchdog
+    needs something to kill).
 
     ``sanitize`` selects the policy-contract sanitizer mode per cell
     ("off"/"normal"/"strict"; None = environment/default — see
@@ -765,6 +684,7 @@ def parallel_sweep(
         retries=retries,
         journal=journal,
         started=started,
+        tag=journal_tag,
         adopt=adopt,
         notify=notify,
     )

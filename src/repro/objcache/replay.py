@@ -8,10 +8,9 @@ float ratios, cells sort by ``(workload, policy)``, and ``--jobs 1`` vs
 sweep meets).
 
 The sweep runs through the CPU sweep loop and report types
-(`CellResult`/`SweepReport`), which duck-type on the result object — object
-cells carry an :class:`ObjectCacheResult` whose ``byte_hit_rate``/
-``object_hit_rate`` drive the object-aware columns in
-``SweepReport.to_csv``/``format``.
+(`CellResult`/`SweepReport`): object cells carry an
+:class:`ObjectCacheResult`, which the journal codec tags by kind and
+:mod:`repro.scenarios.object_runner` renders into report cells.
 """
 
 from __future__ import annotations

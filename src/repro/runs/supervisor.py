@@ -1,14 +1,18 @@
 """Run directories: durable state for resumable long-running commands.
 
-A *run* is one invocation of a long-running entry point (today: ``repro
-sweep``).  Its directory holds everything needed to resume after a crash:
+A *run* is one invocation of a long-running entry point (``repro sweep``,
+``repro bench``, ``repro replay --decisions``).  Its directory holds
+everything needed to resume after a crash:
 
 .. code-block:: text
 
     <root>/<run-id>/
-        manifest.json   # the command's arguments + status (atomic JSON)
+        manifest.json   # the scenario, the run's options + status (atomic
+                        # JSON)
         journal.jsonl   # completed cells (repro.runs.journal.RunJournal)
-        report.csv      # final deterministic report (written on completion)
+        report.json     # the canonical report payload and its digest
+                        # (written on completion; self-verifying, like a
+                        # golden — see repro.scenarios.golden)
         metrics.json    # telemetry payload (with --metrics; see
                         # docs/observability.md)
         spans.jsonl     # span trace events (with --metrics)
@@ -20,10 +24,10 @@ sweep``).  Its directory holds everything needed to resume after a crash:
 
 Run ids are allocated sequentially (``run-0001``, ``run-0002``, ...) with a
 collision-safe exclusive ``mkdir``, so a freshly created root always starts
-at ``run-0001`` — convenient for scripts and CI.  The manifest records the
-originating arguments so ``--resume <run-id>`` can rebuild the exact same
-sweep grid (identical EvalConfig, workloads, and policy lineup) and produce
-a byte-identical report.
+at ``run-0001`` — convenient for scripts and CI.  A sweep's manifest
+records its whole scenario, so ``--resume <run-id>`` rebuilds the exact
+same grid (identical config, workloads, policies and seeds) and produces a
+byte-identical report.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from repro.store.manifest import ArtifactManifest
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
-REPORT_NAME = "report.csv"
+REPORT_NAME = "report.json"
 METRICS_NAME = "metrics.json"
 SPANS_NAME = "spans.jsonl"
 DECISIONS_NAME = "decisions.jsonl"
@@ -111,9 +115,15 @@ class RunDirectory:
         if status in ("complete", "interrupted", "failed"):
             self.record_artifacts()
 
-    def write_report(self, text: str) -> None:
-        """Atomically persist the final report next to the journal."""
-        atomic_write_text(self.report_path, text)
+    def write_report(self, payload) -> None:
+        """Atomically persist the final report document next to the journal.
+
+        The document is ``{"digest", "report"}``, written by the writer the
+        goldens use, so ``repro fsck`` verifies it against its own digest.
+        """
+        from repro.scenarios.golden import write_report_document
+
+        write_report_document(self.report_path, payload)
         self.record_artifacts()
 
     def artifact_manifest(self) -> ArtifactManifest:

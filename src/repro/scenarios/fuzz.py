@@ -284,6 +284,9 @@ def check_scenario_contract(data: dict, jobs=(1, 2)) -> dict:
         assert canonical_json(report) == first, (
             f"report not deterministic: jobs={jobs[0]} vs jobs={count} differ"
         )
+    failed = [f"{cell['workload']}/{cell['policy']}: {cell['error']}"
+              for cell in reports[0]["cells"] if cell["status"] == "failed"]
+    assert not failed, "cell(s) failed:\n  " + "\n  ".join(failed)
     conservation = reports[0]["conservation"]
     assert conservation["ok"], (
         "conservation invariants violated:\n  "

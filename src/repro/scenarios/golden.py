@@ -83,16 +83,24 @@ def read_golden(name: str, root=None, verify: bool = True):
     return document
 
 
+def write_report_document(path, payload) -> Path:
+    """Atomically write ``{"digest", "report"}`` for a report payload.
+
+    Goldens and run reports (``report.json``) share this one format, which
+    :func:`read_golden` and ``repro fsck`` verify against its own digest.
+    """
+    from repro.runs.atomic import atomic_write_text
+
+    path = Path(path)
+    document = {"digest": report_digest(payload), "report": payload}
+    atomic_write_text(path, json.dumps(document, sort_keys=True, indent=1)
+                      + "\n")
+    return path
+
+
 def write_golden(name: str, payload: dict, root=None) -> Path:
     """Record (bless) a scenario report as the new golden."""
-    path = golden_path(name, root)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    document = {"digest": report_digest(payload), "report": payload}
-    path.write_text(
-        json.dumps(document, sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
-    return path
+    return write_report_document(golden_path(name, root), payload)
 
 
 # -- readable report diffs -----------------------------------------------------

@@ -1,6 +1,6 @@
-"""What ``object_cache`` scenarios do differently inside ``run_scenario``.
+"""What ``object_cache`` scenarios do differently inside the scenario runner.
 
-:func:`repro.scenarios.runner.run_scenario` runs both scenario kinds through
+:mod:`repro.scenarios.runner` runs both scenario kinds through
 one body (cells sorted by ``(seed, workload, policy)``, full-``repr`` floats,
 byte-identical payloads across job counts, conservation on every cell, the
 declared expectations).  The object kind supplies only its traces, its
@@ -34,18 +34,22 @@ def object_scenario_traces(scenario: ObjectScenario, seed: int) -> list:
     return traces
 
 
-def sweep_seed(scenario: ObjectScenario, seed: int, jobs: int, progress,
-               decisions):
-    """One seed's object sweep: scenario traces through ``object_sweep``."""
+def sweep_seed(scenario: ObjectScenario, seed: int, *, progress=None,
+               **options):
+    """One seed's object sweep: scenario traces through ``object_sweep``.
+
+    ``options`` are ``object_sweep``'s ``jobs``, ``decisions``, ``journal``,
+    ``timeout`` and ``retries``; the seed is the journal tag.
+    """
     report = object_sweep(
         object_scenario_traces(scenario, seed),
         scenario.config.capacity_bytes,
         list(scenario.policies),
         admission=scenario.admission,
         policy_params=scenario.params,
-        jobs=jobs,
         sanitize=scenario.sanitize,
-        decisions=decisions,
+        journal_tag=seed,
+        **options,
     )
     if progress is not None:
         progress(f"seed {seed}: {len(report.cells)} object cells in "

@@ -1,17 +1,19 @@
 """Execute scenarios: build traces, sweep, check invariants, report.
 
-:func:`run_scenario` turns a validated :class:`~repro.scenarios.schema.Scenario`
-into a *canonical report*: a plain-JSON payload whose cells are sorted by
+:func:`sweep_scenario` sweeps every seed of a validated
+:class:`~repro.scenarios.schema.Scenario` (optionally journaling each cell
+for ``--resume``), and :func:`scenario_report` turns the sweeps into a
+*canonical report*: a plain-JSON payload whose cells are sorted by
 ``(seed, workload, policy)`` and whose floats carry full ``repr`` precision,
 so the same scenario produces byte-identical payloads across job counts,
 interruptions, and machines (the guarantee the golden-regression harness in
-:mod:`repro.scenarios.golden` pins).
+:mod:`repro.scenarios.golden` pins).  :func:`run_scenario` composes the two.
 
-Every run checks the *conservation invariants* on every cell — hits + misses
-== accesses, evictions never exceed fills (misses − bypasses), dirty
-evictions never exceed evictions — and then the scenario's declared
-expectations (hit-rate bounds, speedup floors, Belady-regret ceilings,
-Belady dominance).
+Every run checks the *conservation invariants* on every cell that ran —
+hits + misses == accesses, evictions never exceed fills (misses −
+bypasses), dirty evictions never exceed evictions — and then the scenario's
+declared expectations (hit-rate bounds, speedup floors, Belady-regret
+ceilings, Belady dominance).  A failed cell is reported, not raised.
 """
 
 from __future__ import annotations
@@ -164,8 +166,16 @@ def _object_kind(scenario):
     return object_runner
 
 
-def _sweep_seed(scenario: Scenario, seed: int, jobs: int, cache_dir,
-                progress, decisions):
+def _grades(scenario) -> bool:
+    """Whether the scenario's report carries per-cell Belady regret.
+
+    Exactly when it has a ``regret`` expectation, which also turns decision
+    grading on by itself; so no option can add regret to the report.
+    """
+    return any(e.check == "regret" for e in scenario.expect)
+
+
+def _sweep_seed(scenario: Scenario, seed: int, *, cache_dir, **options):
     """One seed's CPU sweep: scenario traces through ``parallel_sweep``."""
     from repro.eval import parallel
 
@@ -174,23 +184,55 @@ def _sweep_seed(scenario: Scenario, seed: int, jobs: int, cache_dir,
         eval_config,
         scenario_traces(scenario, eval_config, seed),
         list(scenario.policies),
-        jobs=jobs,
         num_cores=scenario.config.num_cores,
         cache_dir=cache_dir,
         sanitize=scenario.sanitize,
-        decisions=decisions,
-        progress=progress,
+        journal_tag=seed,
+        **options,
     )
 
 
-def _cell_payload(scenario, cell, seed: int, decisions_enabled: bool) -> dict:
-    result = cell.result
+def sweep_scenario(scenario, *, jobs: int = 1, cache_dir=None, progress=None,
+                   decisions: int = None, journal=None, timeout=None,
+                   retries: int = 0) -> list:
+    """Sweep every seed of a scenario; returns ``[(seed, SweepReport)]``.
+
+    Each seed makes one sweep call: ``parallel_sweep`` for ``cpu_cache``
+    scenarios, ``object_sweep`` (via
+    :func:`repro.scenarios.object_runner.sweep_seed`) for ``object_cache``
+    ones.  ``cache_dir`` is the CPU pass-1 cache; object traces have no
+    pass 1.  ``decisions`` is the decision-log sample rate (rate 1 when the
+    scenario grades regret and none is given).  With a ``journal`` (a
+    :class:`~repro.runs.journal.RunJournal`), each seed's cells are journaled
+    under ``tag=seed`` and cells already journaled are adopted, not re-run.
+    """
+    if decisions is None and _grades(scenario):
+        decisions = 1
+    options = {"jobs": jobs, "progress": progress, "decisions": decisions,
+               "journal": journal, "timeout": timeout, "retries": retries}
+    objects = _object_kind(scenario)
+    reports = []
+    for seed in scenario.run_seeds:
+        if objects is not None:
+            report = objects.sweep_seed(scenario, seed, **options)
+        else:
+            report = _sweep_seed(scenario, seed, cache_dir=cache_dir,
+                                 **options)
+        reports.append((seed, report))
+    return reports
+
+
+def _cell_payload(scenario, cell, seed: int, graded: bool) -> dict:
     payload = {
         "workload": cell.workload,
         "policy": cell.policy,
         "seed": seed,
         "status": cell.status,
     }
+    if not cell.ok:
+        payload["error"] = (cell.error or "?").strip().splitlines()[-1]
+        return payload
+    result = cell.result
     objects = _object_kind(scenario)
     if objects is not None:
         payload.update(objects.cell_fields(scenario, result))
@@ -204,13 +246,36 @@ def _cell_payload(scenario, cell, seed: int, decisions_enabled: bool) -> dict:
         })
     if cell.violations:
         payload["violations"] = list(cell.violations)
-    if decisions_enabled and cell.decisions:
-        summary = cell.decisions.get("summary", {})
-        payload["regret"] = {
-            key: summary.get(key, 0)
-            for key in ("evictions", "graded", "optimal", "neutral",
-                        "harmful", "regret_x2")
-        }
+    if graded and cell.regret is not None:
+        payload["regret"] = dict(cell.regret)
+    return payload
+
+
+def scenario_report(scenario, seed_reports) -> dict:
+    """The canonical report payload of one scenario's ``[(seed, report)]``.
+
+    A failed cell carries its status and the last line of its error; the
+    conservation and expectation checks skip it, and ``ok`` is False.
+    """
+    graded = _grades(scenario)
+    cells = [
+        _cell_payload(scenario, cell, seed, graded)
+        for seed, report in seed_reports
+        for cell in report.cells  # sorted by (workload, policy)
+    ]
+    ran = [cell for cell in cells if cell["status"] != "failed"]
+    payload = {
+        "format": REPORT_FORMAT,
+        "scenario": scenario.as_dict(),
+        "cells": cells,
+        "conservation": _check_conservation(scenario, ran),
+        "expectations": evaluate_expectations(scenario, ran),
+    }
+    payload["ok"] = (
+        len(ran) == len(cells)
+        and payload["conservation"]["ok"]
+        and all(e["status"] == "pass" for e in payload["expectations"])
+    )
     return payload
 
 
@@ -223,52 +288,15 @@ def run_scenario(
 ) -> dict:
     """Run one scenario of either kind; return its canonical report payload.
 
-    ``decisions`` forces a per-eviction decision-log sample rate; when the
-    scenario carries ``regret`` expectations, decision tracing is enabled
-    automatically (rate 1) so regret is measurable.  Failed cells raise —
-    a scenario whose simulation crashes has no meaningful report.
-
-    Each seed makes one sweep call: ``parallel_sweep`` for ``cpu_cache``
-    scenarios, ``object_sweep`` (via
-    :func:`repro.scenarios.object_runner.sweep_seed`) for ``object_cache``
-    ones.  ``cache_dir`` is the CPU pass-1 cache; object traces have no
-    pass 1.
+    :func:`sweep_scenario` then :func:`scenario_report`, with no journal,
+    so nothing touches the disk beyond the CPU ``cache_dir``.  The report
+    depends on the scenario alone: ``decisions`` turns decision logs on
+    (or sets their sample rate) but never changes the payload.
     """
-    objects = _object_kind(scenario)
-    if decisions is None and any(e.check == "regret" for e in scenario.expect):
-        decisions = 1
-    cells = []
-    for seed in scenario.run_seeds:
-        if objects is not None:
-            report = objects.sweep_seed(scenario, seed, jobs, progress,
-                                        decisions)
-        else:
-            report = _sweep_seed(scenario, seed, jobs, cache_dir, progress,
-                                 decisions)
-        failures = report.failures()
-        if failures:
-            first = failures[0]
-            last_line = (first.error or "?").strip().splitlines()[-1]
-            raise RuntimeError(
-                f"scenario {scenario.name!r}: {len(failures)} cell(s) failed "
-                f"(first: {first.workload}/{first.policy}: {last_line})"
-            )
-        for cell in sorted(report.cells,
-                           key=lambda c: (c.workload, c.policy)):
-            cells.append(_cell_payload(scenario, cell, seed,
-                                       decisions is not None))
-    payload = {
-        "format": REPORT_FORMAT,
-        "scenario": scenario.as_dict(),
-        "cells": cells,
-        "conservation": _check_conservation(scenario, cells),
-        "expectations": evaluate_expectations(scenario, cells),
-    }
-    payload["ok"] = (
-        payload["conservation"]["ok"]
-        and all(e["status"] == "pass" for e in payload["expectations"])
-    )
-    return payload
+    return scenario_report(scenario, sweep_scenario(
+        scenario, jobs=jobs, cache_dir=cache_dir, progress=progress,
+        decisions=decisions,
+    ))
 
 
 def _cell_problems(scenario, cell) -> list:
@@ -321,22 +349,35 @@ def _check_rate(cells, expectation, metric: str) -> list:
     return failures
 
 
-def _check_speedup(cells, expectation) -> list:
+def speedup_over(cells, over: str, policy: str = None,
+                 workload: str = None):
+    """Geomean IPC speedup (percent) of the matching cells over ``over``'s.
+
+    Each cell is compared with the ``over`` cell of its (workload, seed);
+    ``policy``/``workload`` narrow the cells compared.  None when no cell
+    pairs up with a baseline.
+    """
     baselines = {
         (cell["workload"], cell["seed"]): cell["ipc"]
-        for cell in cells if cell["policy"] == expectation.over
+        for cell in cells if cell["policy"] == over
     }
     ratios = []
-    for cell in _matching(cells, expectation):
-        if cell["policy"] == expectation.over:
+    for cell in cells:
+        if cell["policy"] == over or policy not in (None, cell["policy"]):
+            continue
+        if workload not in (None, cell["workload"]):
             continue
         baseline = baselines.get((cell["workload"], cell["seed"]))
-        if baseline is None:
-            continue
-        ratios.append(mix_speedup(cell["ipc"], baseline))
-    if not ratios:
+        if baseline is not None:
+            ratios.append(mix_speedup(cell["ipc"], baseline))
+    return (geomean(ratios) - 1) * 100 if ratios else None
+
+
+def _check_speedup(cells, expectation) -> list:
+    overall = speedup_over(cells, expectation.over, expectation.policy,
+                           expectation.workload)
+    if overall is None:
         return [f"no cells to compare against baseline {expectation.over!r}"]
-    overall = (geomean(ratios) - 1) * 100
     if overall < expectation.min:
         return [
             f"geomean speedup over {expectation.over} is {overall:+.3f}%, "
@@ -453,8 +494,14 @@ def evaluate_expectations(scenario, cells) -> list:
 
 
 def check_report(payload: dict) -> list:
-    """Every failure a report payload carries (conservation + expectations)."""
-    failures = list(payload.get("conservation", {}).get("problems", ()))
+    """Every failure a report payload carries (failed cells, conservation,
+    expectations)."""
+    failures = [
+        f"{cell['workload']}/{cell['policy']} (seed {cell['seed']}): "
+        f"failed: {cell['error']}"
+        for cell in payload.get("cells", ()) if cell["status"] == "failed"
+    ]
+    failures.extend(payload.get("conservation", {}).get("problems", ()))
     for row in payload.get("expectations", ()):
         failures.extend(row.get("failures", ()))
     return failures

@@ -4,7 +4,7 @@ A manifest records, for every durable artifact under one directory (a run
 directory, a bench output, ...), its byte length and SHA-256 digest plus
 the artifact family that wrote it.  It is the cross-artifact integrity
 anchor: an individual file can self-verify through its frames or per-line
-checksums, but only the manifest can say *"report.csv no longer holds the
+checksums, but only the manifest can say *"metrics.json no longer holds the
 bytes the run produced"* or *"the decision log this run recorded is
 missing"*.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import settings
@@ -43,6 +44,19 @@ def make_cache():
         return Cache(config, policy, **kwargs)
 
     return build
+
+
+def cell_rows(report) -> list:
+    """Every field a sweep report's cells carry, for equality checks:
+    ``(workload, policy, status, result fields or error line, violations)``.
+    """
+    return [
+        (cell.workload, cell.policy, cell.status,
+         asdict(cell.result) if cell.ok
+         else cell.error.strip().splitlines()[-1],
+         cell.violations)
+        for cell in report.cells
+    ]
 
 
 def load(line: int, pc: int = 0, core: int = 0) -> TraceRecord:

@@ -143,9 +143,9 @@ class TestSweepCommand:
             "--run-dir", str(tmp_path / "runs"),
         )
         assert code == 0
-        assert "suite geomean" in out
+        assert "geomean speedup over lru" in out
         assert "cassandra" in out
-        assert (tmp_path / "runs" / "run-0001" / "report.csv").is_file()
+        assert (tmp_path / "runs" / "run-0001" / "report.json").is_file()
 
 
 class TestSweepMetrics:
@@ -452,15 +452,15 @@ class TestScenarioCommands:
 
     def test_run_prints_table_and_digest(self, capsys, library, tmp_path):
         code, out = self.run(
-            capsys, "scenario", "run", "cli-tiny",
+            capsys, "sweep", "--scenario", "cli-tiny",
             "--library", str(library), "--goldens", str(tmp_path / "g"),
-            "--json", str(tmp_path / "report.json"),
+            "--run-dir", str(tmp_path / "runs"),
         )
         assert code == 0
         assert "report digest: " in out
         assert "expect {'check': 'conservation'}: PASS" in out
         assert "no golden recorded yet" in out  # golden: true, not blessed
-        assert (tmp_path / "report.json").is_file()
+        assert (tmp_path / "runs" / "run-0001" / "report.json").is_file()
 
     def test_bless_then_run_checks_the_golden(self, capsys, library, tmp_path):
         goldens = tmp_path / "goldens"
@@ -471,8 +471,9 @@ class TestScenarioCommands:
         assert code == 0
         assert (goldens / "cli-tiny.json").is_file()
         code, out = self.run(
-            capsys, "scenario", "run", "cli-tiny",
+            capsys, "sweep", "--scenario", "cli-tiny",
             "--library", str(library), "--goldens", str(goldens),
+            "--run-dir", str(tmp_path / "runs"),
         )
         assert code == 0
         assert "matches the blessed digest" in out
@@ -507,18 +508,22 @@ class TestScenarioCommands:
         document["digest"] = report_digest(document["report"])
         path.write_text(json.dumps(document))
         code, out = self.run(
-            capsys, "scenario", "run", "cli-tiny",
+            capsys, "sweep", "--scenario", "cli-tiny",
             "--library", str(library), "--goldens", str(goldens),
+            "--run-dir", str(tmp_path / "runs"),
         )
         assert code == 1
         assert "golden regression:" in out
         assert "hit_rate" in out and "loop / lru" in out
 
-    def test_unknown_scenario_is_a_clean_error(self, capsys, library):
-        code, out = self.run(capsys, "scenario", "run", "nope",
-                            "--library", str(library))
+    def test_unknown_scenario_is_a_clean_error(self, capsys, library,
+                                               tmp_path):
+        code, out = self.run(capsys, "sweep", "--scenario", "nope",
+                            "--library", str(library),
+                            "--run-dir", str(tmp_path / "runs"))
         assert code == 2
         assert "error:" in out
+        assert not (tmp_path / "runs").exists()
 
     def test_validate_kind_scenario_via_library_file(self, capsys, library):
         code, out = self.run(capsys, "validate",
@@ -528,8 +533,8 @@ class TestScenarioCommands:
 
 
 class TestSweepScenarioFlags:
-    """``repro sweep --scenario`` refuses every flag its scenario's kind
-    would ignore, before any work, instead of running without it."""
+    """``repro sweep`` refuses every flag its kind of sweep would ignore,
+    before any work, instead of running without it."""
 
     SCENARIOS = {
         "cpu_cache": {
@@ -551,12 +556,9 @@ class TestSweepScenarioFlags:
         },
     }
 
-    #: Flags neither kind reads.
-    UNREAD = [
-        ("--suite", "cloudsuite"),
+    #: Flags only a --suite sweep reads.
+    SUITE_ONLY = [
         ("--policies", "lru"),
-        ("--no-cache",),
-        ("--metrics",),
         ("--sanitize", "off"),
         ("--strict",),
         ("--no-strict",),
@@ -564,13 +566,26 @@ class TestSweepScenarioFlags:
         ("--length", "100"),
         ("--seed", "3"),
     ]
-    CPU_UNREAD = [
+    #: Flags neither kind of scenario reads.
+    UNREAD = [("--suite", "cloudsuite"), ("--resume", "run-9999")] \
+        + SUITE_ONLY
+    OBJECT_UNREAD = [("--cache-dir", "prepared"), ("--metrics",)]
+    #: --resume reads only --run-dir; the run's manifest holds the rest.
+    RESUME_UNREAD = [
+        ("--suite", "cloudsuite"),
+        ("--jobs", "2"),
         ("--timeout", "5"),
         ("--retries", "1"),
-        ("--run-dir", "runs"),
-        ("--resume", "run-9999"),
+        ("--metrics",),
+        ("--decisions",),
+        ("--cache-dir", "prepared"),
+        ("--goldens", "goldens"),
+    ] + SUITE_ONLY
+    SUITE_UNREAD = [
+        ("--library", "library"),
+        ("--goldens", "goldens"),
+        ("--no-golden-check",),
     ]
-    OBJECT_UNREAD = [("--cache-dir", "prepared")]
 
     @pytest.fixture
     def sweep(self, tmp_path, monkeypatch, capsys):
@@ -579,9 +594,15 @@ class TestSweepScenarioFlags:
         monkeypatch.chdir(tmp_path)
 
         def run(kind, *flags):
-            path = tmp_path / f"{kind}.json"
-            path.write_text(json.dumps(self.SCENARIOS[kind]))
-            code = main(["sweep", "--scenario", str(path), *flags])
+            if kind == "resume":
+                source = ["--resume", "run-0001"]
+            elif kind == "suite":
+                source = ["--suite", "cloudsuite"]
+            else:
+                path = tmp_path / f"{kind}.json"
+                path.write_text(json.dumps(self.SCENARIOS[kind]))
+                source = ["--scenario", str(path)]
+            code = main(["sweep", *source, *flags])
             captured = capsys.readouterr()
             return code, captured.err
 
@@ -589,8 +610,10 @@ class TestSweepScenarioFlags:
 
     @pytest.mark.parametrize(
         "kind, flags",
-        [("cpu_cache", flags) for flags in UNREAD + CPU_UNREAD]
-        + [("object_cache", flags) for flags in UNREAD + OBJECT_UNREAD],
+        [("cpu_cache", flags) for flags in UNREAD]
+        + [("object_cache", flags) for flags in UNREAD + OBJECT_UNREAD]
+        + [("resume", flags) for flags in RESUME_UNREAD]
+        + [("suite", flags) for flags in SUITE_UNREAD],
         ids=lambda value: " ".join(value) if isinstance(value, tuple)
         else value,
     )
@@ -603,21 +626,39 @@ class TestSweepScenarioFlags:
         assert not (tmp_path / "runs").exists()
         assert not (tmp_path / "prepared").exists()
 
-    def test_every_unread_flag_is_named(self, sweep):
-        code, err = sweep("cpu_cache", "--timeout", "0.001", "--strict",
-                          "--run-dir", "runs", "--resume", "run-9999",
-                          "--scale", "64", "--suite", "cloudsuite")
+    @pytest.mark.parametrize("flags", [("--jobs", "0"),
+                                       ("--decisions", "0")])
+    def test_bad_value_fails_before_the_run_directory(self, sweep, tmp_path,
+                                                      flags):
+        code, err = sweep("cpu_cache", *flags)
         assert code == 2
-        for flag in ("--timeout", "--strict", "--run-dir", "--resume",
-                     "--scale", "--suite"):
+        assert err.startswith("error: ")
+        assert not (tmp_path / ".repro-runs").exists()
+
+    def test_every_unread_flag_is_named(self, sweep):
+        code, err = sweep("cpu_cache", "--strict", "--resume", "run-9999",
+                          "--scale", "64", "--suite", "cloudsuite",
+                          "--policies", "lru", "--seed", "3")
+        assert code == 2
+        for flag in ("--strict", "--resume", "--scale", "--suite",
+                     "--policies", "--seed"):
             assert flag in err
 
     def test_cpu_scenario_runs_with_the_flags_it_reads(self, sweep,
                                                        tmp_path):
         code, _ = sweep("cpu_cache", "--jobs", "1", "--cache-dir",
-                        "prepared", "--decisions")
+                        "prepared", "--decisions", "--metrics",
+                        "--timeout", "60", "--retries", "1",
+                        "--run-dir", "runs", "--no-golden-check")
         assert code == 0
         assert (tmp_path / "prepared").is_dir()
+        run_dir = tmp_path / "runs" / "run-0001"
+        for name in ("report.json", "metrics.json", "spans.jsonl",
+                     "decisions.jsonl"):
+            assert (run_dir / name).is_file(), name
+        code, err = sweep("resume", "--run-dir", "runs")
+        assert code == 0
+        assert "resuming run-0001" in err
 
     def test_object_scenario_runs_with_the_flags_it_reads(self, sweep,
                                                           tmp_path):
@@ -625,7 +666,8 @@ class TestSweepScenarioFlags:
                  "--retries", "1", "--run-dir", "runs")
         code, _ = sweep("object_cache", *flags)
         assert code == 0
-        assert (tmp_path / "runs" / "run-0001" / "report.csv").is_file()
-        code, err = sweep("object_cache", *flags, "--resume", "run-0001")
+        assert (tmp_path / "runs" / "run-0001" / "report.json").is_file()
+        assert (tmp_path / "runs" / "run-0001" / "decisions.jsonl").is_file()
+        code, err = sweep("resume", "--run-dir", "runs")
         assert code == 0
         assert "resuming run-0001" in err

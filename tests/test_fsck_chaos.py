@@ -148,7 +148,7 @@ class TestRunJournalFamily:
                               "policy": "lru"})
         run.journal().append({"type": "cell", "workload": "w",
                               "policy": "srrip"})
-        run.write_report("workload,policy\nw,lru\nw,srrip\n")
+        run.write_report({"cells": [["w", "lru"], ["w", "srrip"]]})
         run.mark("complete")
         return run
 
@@ -185,7 +185,7 @@ class TestDecisionLogFamily:
             _write_with_fault(tmp_path, "torn_write", write)
         else:
             write()
-        run.write_report("workload,policy\n")
+        run.write_report({"cells": []})
         run.mark("complete")
         return run
 
@@ -257,7 +257,7 @@ class TestNoFaultByteIdentity:
         run.journal().append({"type": "cell", "workload": "w",
                               "policy": "lru"})
         write_decisions_jsonl(run.decisions_path, [])
-        run.write_report("workload,policy\nw,lru\n")
+        run.write_report({"cells": [["w", "lru"]]})
         run.mark("complete")
 
         cache = PrepCache(tmp_path / "prep")

@@ -10,6 +10,8 @@ from repro.objcache import (
     traces_from_specs,
 )
 
+from tests.conftest import cell_rows
+
 CAPACITY = 3_000_000
 
 
@@ -89,24 +91,29 @@ class TestSweep:
             report = object_sweep(
                 [inverse_trace], CAPACITY, ["lru", "gdsf"], jobs=jobs,
             )
-            return report.to_csv()
+            return cell_rows(report)
 
         assert run(1) == run(2)
 
-    def test_object_csv_header_and_rows(self, inverse_trace):
-        report = object_sweep([inverse_trace], CAPACITY, ["lru"])
-        lines = report.to_csv().strip().splitlines()
-        assert lines[0] == (
-            "workload,policy,status,byte_hit_rate,object_hit_rate,"
-            "evictions,evicted_bytes"
-        )
-        assert lines[1].startswith("zipf-inv,lru,ok,")
+    def test_format_uses_object_columns(self, tmp_path, capsys):
+        import json
 
-    def test_format_uses_object_columns(self, inverse_trace):
-        report = object_sweep([inverse_trace], CAPACITY, ["lru"])
-        rendered = report.format()
+        from repro.cli import main
+
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({
+            "kind": "object_cache", "name": "tiny",
+            "config": {"capacity_bytes": 50_000, "requests": 300},
+            "workloads": [{"name": "z", "kind": "zipf", "objects": 50}],
+            "policies": ["lru"],
+        }))
+        code = main(["sweep", "--scenario", str(path),
+                     "--run-dir", str(tmp_path / "runs")])
+        rendered = capsys.readouterr().out
+        assert code == 0
         assert "byte-hit%" in rendered
         assert "obj-hit%" in rendered
+        assert "ipc" not in rendered
 
     def test_traces_from_specs_materialises_workloads(self):
         traces = traces_from_specs(

@@ -18,6 +18,8 @@ from repro.eval.runner import prepare_workload, run_workload
 from repro.eval.workloads import EvalConfig
 from repro.traces.record import Trace, TraceRecord
 
+from tests.conftest import cell_rows
+
 
 def _config(**overrides) -> EvalConfig:
     parameters = dict(scale=64, trace_length=1500, seed=3)
@@ -176,7 +178,7 @@ class TestCorruption:
             _config(), ["429.mcf"], ["lru", "srrip"], jobs=1,
             cache_dir=cache_dir,
         )
-        assert warm.to_csv() == reference.to_csv()
+        assert cell_rows(warm) == cell_rows(reference)
         entries = list(cache_dir.glob("*.pkl"))
         assert len(entries) == 1
         data = entries[0].read_bytes()
@@ -186,7 +188,7 @@ class TestCorruption:
             cache_dir=cache_dir,
         )
         assert repaired.cached_workloads == ()  # miss -> re-simulated
-        assert repaired.to_csv() == reference.to_csv()
+        assert cell_rows(repaired) == cell_rows(reference)
         # The poisoned entry was quarantined (evidence kept), not deleted.
         quarantined = list((cache_dir / "quarantine").iterdir())
         assert len(quarantined) == 1

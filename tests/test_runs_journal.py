@@ -149,11 +149,11 @@ class TestRunDirectories:
     def test_journal_and_report_live_in_the_run_directory(self, tmp_path):
         run = create_run(tmp_path, {"kind": "sweep"})
         run.journal().append({"type": "cell"})
-        run.write_report("workload,policy\n")
+        run.write_report({"cells": []})
         names = sorted(entry.name for entry in run.path.iterdir())
         # write_report also refreshes the artifact-integrity manifest.
         assert names == sorted(
-            [MANIFEST_NAME, JOURNAL_NAME, "report.csv", "artifacts.json"]
+            [MANIFEST_NAME, JOURNAL_NAME, "report.json", "artifacts.json"]
         )
 
     def test_list_runs_on_missing_root(self, tmp_path):

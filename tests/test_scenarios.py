@@ -7,9 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.cache.replacement import POLICY_REGISTRY
+from repro.cache.replacement.lru import LRUPolicy
 from repro.scenarios import (
     ExpectationFailure,
     ScenarioError,
+    check_report,
     load_library,
     load_scenario,
     parse_scenario_text,
@@ -334,3 +337,72 @@ class TestRunner:
         assert any("!= accesses" in p for p in problems)
         assert any("exceed fills" in p for p in problems)
         assert any("dirty evictions" in p for p in problems)
+
+    def test_report_depends_on_the_scenario_alone(self):
+        # Decision logs are a side artifact: forcing them adds no regret
+        # to a scenario that has no regret expectation.
+        from repro.scenarios import canonical_json
+
+        scenario = tiny()
+        plain = run_scenario(scenario)
+        traced = run_scenario(scenario, decisions=1)
+        assert canonical_json(plain) == canonical_json(traced)
+        assert not any("regret" in cell for cell in traced["cells"])
+
+
+class RaisingPolicy(LRUPolicy):
+    """LRU until its first eviction decision, which raises."""
+
+    name = "raising"
+
+    def victim(self, set_index, cache_set, access):
+        raise RuntimeError("synthetic victim failure")
+
+
+THRASH = {"name": "loop", "patterns": [{"kind": "cyclic", "working_set": 2.0}]}
+
+
+class TestFailedCells:
+    """A cell whose policy raises is reported as failed, never raised."""
+
+    @pytest.fixture
+    def scenario(self, monkeypatch):
+        monkeypatch.setitem(POLICY_REGISTRY, "raising", RaisingPolicy)
+        return tiny(workloads=[THRASH], policies=["lru", "raising"],
+                    seeds=[3, 4], expect=[{"check": "conservation"}])
+
+    def test_run_scenario_reports_the_failed_cells(self, scenario):
+        payload = run_scenario(scenario)
+        failed = [cell for cell in payload["cells"]
+                  if cell["status"] == "failed"]
+        assert [(c["policy"], c["seed"]) for c in failed] == [
+            ("raising", 3), ("raising", 4)]
+        for cell in failed:
+            assert cell["error"] == "RuntimeError: synthetic victim failure"
+            assert set(cell) == {"workload", "policy", "seed", "status",
+                                 "error"}
+        assert payload["ok"] is False
+        assert payload["conservation"]["ok"]  # the cells that ran are fine
+        problems = check_report(payload)
+        assert [problem for problem in problems if "loop/raising" in problem
+                and "synthetic victim failure" in problem] == problems
+        assert len(problems) == 2
+
+    def test_sweep_writes_the_report_and_exits_1(self, scenario, tmp_path,
+                                                 capsys):
+        from repro.cli import main
+
+        path = tmp_path / "failing.json"
+        path.write_text(json.dumps(scenario.as_dict()))
+        code = main(["sweep", "--scenario", str(path),
+                     "--run-dir", str(tmp_path / "runs")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        assert "loop/raising (seed 3): RuntimeError: synthetic victim " \
+            "failure" in captured.out
+        run_dir = tmp_path / "runs" / "run-0001"
+        document = json.loads((run_dir / "report.json").read_text())
+        assert document["report"]["ok"] is False
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "failed"

@@ -78,7 +78,7 @@ class TestRunDirectory:
         run = create_run(tmp_path, {"kind": "sweep"})
         run.journal().append({"type": "cell", "workload": "w", "policy": "p"})
         run.journal().append({"type": "cell", "workload": "w", "policy": "q"})
-        run.write_report("workload,policy\nw,p\nw,q\n")
+        run.write_report({"cells": [["w", "p"], ["w", "q"]]})
         run.mark("complete")
         return run
 
@@ -136,10 +136,13 @@ class TestRunDirectory:
         self, tmp_path
     ):
         run = self._run(tmp_path)
-        recorded = ArtifactManifest(run.path).entries()["report.csv"]["sha256"]
-        # Bit rot in report.csv: the file has no self-check, so the
-        # manifest digest is the only evidence the bytes are wrong.
-        run.report_path.write_text("workload,policy\nw,p\nw,X\n")
+        run.metrics_path.write_text('{"counters": {"sweep.cells_ok": 2}}\n')
+        run.record_artifacts()
+        entries = ArtifactManifest(run.path).entries()
+        recorded = entries["metrics.json"]["sha256"]
+        # Bit rot in metrics.json: a plain JSON document has no self-check,
+        # so the manifest digest is the only evidence the bytes are wrong.
+        run.metrics_path.write_text('{"counters": {"sweep.cells_ok": 3}}\n')
 
         detected = fsck_path(run.path)
         assert detected.exit_code() == 1
@@ -153,7 +156,7 @@ class TestRunDirectory:
         assert repaired.findings[0].action == "detected"
         assert "no self-check" in repaired.findings[0].detail
         # The recorded digest — the corruption evidence — is untouched.
-        stored = ArtifactManifest(run.path).entries()["report.csv"]["sha256"]
+        stored = ArtifactManifest(run.path).entries()["metrics.json"]["sha256"]
         assert stored == recorded
 
     def test_live_run_journal_is_never_repaired_under_the_writer(
@@ -282,7 +285,7 @@ class TestCli:
 
     def test_json_output_is_machine_readable(self, tmp_path, capsys):
         run = create_run(tmp_path, {"kind": "sweep"})
-        run.write_report("workload,policy\n")
+        run.write_report({"cells": []})
         assert main(["fsck", run.run_id, "--run-dir", str(tmp_path),
                      "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
