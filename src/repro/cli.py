@@ -35,13 +35,10 @@ Commands:
   ``list`` browses ``scenarios/``, ``diff`` renders the readable report
   diff against the golden, ``bless`` re-records goldens after an
   intentional behaviour change (``sweep --scenario`` runs one)
-* ``bench``     — the perf observatory: replay / objcache / train /
-  overhead benchmarks with phase attribution, appended to the CRC-enveloped
-  ``BENCH_history.jsonl``; ``--compare`` regression-gates against a
-  baseline, ``--profile`` captures flamegraphs, and every finished
-  benchmark is journaled to a run directory (``--resume RUN_ID`` adopts
-  completed results byte-identically after a crash) —
-  see docs/observability.md
+* ``bench``     — the replay phase split: the replay and objcache
+  micro-benchmarks split each key's replay into phases and write
+  ``BENCH_*.json`` snapshots; ``--compare`` regression-gates the rates
+  against committed snapshots — see docs/observability.md
 * ``fsck``      — audit durable artifacts (run directories, the prep
   cache, goldens, checkpoints) for truncation, torn writes and
   bit rot; ``--repair`` truncates torn journal tails and quarantines what
@@ -228,6 +225,7 @@ def _write_sweep_metrics(run, seed_reports) -> None:
 
 def _write_sweep_decisions(run, seed_reports) -> None:
     """Persist + summarize the sweep's decision logs, when it kept any."""
+    from repro.eval.inspect import regret_rows
     from repro.telemetry.decisions import write_decisions_jsonl
 
     cells = [dict(payload, seed=seed) for seed, report in seed_reports
@@ -240,23 +238,9 @@ def _write_sweep_decisions(run, seed_reports) -> None:
         print(f"note: {missing} cell(s) adopted from the journal carry no "
               f"decision log", file=sys.stderr)
     write_decisions_jsonl(run.decisions_path, cells)
-    rows = []
-    for cell in cells:
-        summary = cell.get("summary", {})
-        graded = summary.get("graded", 0)
-        rows.append({
-            "workload": cell.get("workload"),
-            "policy": cell.get("policy"),
-            "seed": cell["seed"],
-            "evictions": summary.get("evictions", 0),
-            "harmful": summary.get("harmful", 0),
-            "regret": f"{summary.get('regret_x2', 0) / (2 * graded):.4f}"
-            if graded else "-",
-        })
+    rows = regret_rows(cells)
     print(format_table(
-        rows,
-        headers=["workload", "policy", "seed", "evictions", "harmful",
-                 "regret"],
+        rows, headers=list(rows[0]),
         title=f"Belady regret per cell (decision sample rate "
               f"{cells[0]['sample_rate']})",
     ))
@@ -483,47 +467,19 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """``repro bench``: micro-benchmarks, journaled through a run directory.
+    """``repro bench``: split each bench key's replay into phases and
+    write the ``BENCH_*.json`` snapshots.
 
-    Each completed benchmark is durably journaled (with its payload), so a
-    SIGKILL between benchmarks loses nothing: ``--resume <run-id>`` adopts
-    the journaled payloads (rewriting their ``BENCH_*.json`` snapshots
-    byte-identically) and times only the benchmarks still owed.  The run
-    directory also records an artifact-integrity manifest for ``repro
-    fsck``.
-
-    Observatory extras: every freshly timed payload is appended to the
-    CRC-enveloped ``BENCH_history.jsonl`` (``--no-history`` opts out);
-    ``--compare BASELINE`` regression-gates the run (exit 1, per-phase
-    delta table naming the phase that got slower); ``--profile`` captures
-    a cProfile flamegraph (collapsed stacks) per bench into the run
-    directory; ``repro bench history`` renders the recorded trajectory.
+    ``--compare BASELINE`` (a directory of snapshots or one snapshot)
+    regression-gates the rates: exit 1 on a regression, with a per-phase
+    delta table naming the phase that got slower; exit 2 when no bench
+    that runs has a baseline.
     """
-    import json as json_mod
+    from repro.eval.bench import BENCHES, compare, resolve_baseline, write_bench
 
-    from repro.eval.bench import BENCHES, capture_flamegraph, write_bench
-    from repro.eval.bench_history import (
-        DEFAULT_HISTORY_NAME,
-        append_history,
-        compare,
-        format_history,
-        load_history,
-        resolve_baseline,
-    )
-    from repro.runs.atomic import atomic_write_text
-    from repro.runs.supervisor import create_run, load_run
-
-    history_path = Path(
-        args.history or (Path(args.output_dir) / DEFAULT_HISTORY_NAME)
-    )
-    if args.which == "history":
-        payloads, damage = load_history(history_path)
-        print(format_history(payloads, damage))
-        return 0
-
-    # Snapshot the baseline BEFORE any bench appends to the history —
-    # comparing against a history this very run wrote to would gate the
-    # run against itself and always pass.
+    names = list(BENCHES) if args.which == "all" else [args.which]
+    # Read the baseline before this run writes its snapshots, so
+    # ``--output-dir D --compare D`` gates against the previous ones.
     baseline, baseline_notes = None, []
     if args.compare:
         try:
@@ -531,94 +487,27 @@ def cmd_bench(args) -> int:
         except (OSError, ValueError) as error:
             print(f"bench --compare: {error}", file=sys.stderr)
             return 2
-
-    run_root = args.run_dir or DEFAULT_RUN_ROOT
-    if args.resume:
-        run = load_run(run_root, args.resume)
-        for key, value in run.manifest.get("args", {}).items():
-            setattr(args, key, value)
-        run.mark("running")
-        print(f"resuming {run.run_id} "
-              f"({len(run.journal())} journal entries)", file=sys.stderr)
-    else:
-        run = create_run(run_root, {
-            "kind": "bench",
-            "args": {"which": args.which, "repeats": args.repeats,
-                     "output_dir": args.output_dir},
-        })
-        print(f"run {run.run_id} -> {run.path}", file=sys.stderr)
-    journal = run.journal()
-    done = {
-        entry.get("name"): entry.get("payload")
-        for entry in journal.entries()
-        if entry.get("type") == "bench" and isinstance(entry.get("payload"),
-                                                       dict)
-    }
-    names = list(BENCHES) if args.which == "all" else [args.which]
+        if not baseline.keys() & set(names):
+            print(f"bench --compare: {args.compare} holds no baseline for "
+                  f"{' or '.join(names)}", file=sys.stderr)
+            return 2
     current = {}
     for name in names:
-        if name in done:
-            # Adopted from the journal: rewrite the snapshot byte-
-            # identically instead of re-timing.  Not re-appended to the
-            # history — the run that timed it already recorded it.
-            payload = done[name]
-            path = Path(args.output_dir) / BENCHES[name][1]
-            atomic_write_text(
-                path,
-                json_mod.dumps(payload, indent=1, sort_keys=True) + "\n",
-            )
-            print(f"bench {name}: adopted from journal", file=sys.stderr)
-        else:
-            payload, path = write_bench(
-                name, output_dir=args.output_dir, repeats=args.repeats
-            )
-            journal.append({"type": "bench", "name": name,
-                            "payload": payload})
-            if not args.no_history:
-                append_history(history_path, payload)
-            if args.profile:
-                folded = capture_flamegraph(name)
-                flame_path = run.path / f"flame_{name}.folded"
-                atomic_write_text(flame_path, folded)
-                print(f"flamegraph (collapsed stacks) -> {flame_path}",
-                      file=sys.stderr)
+        payload, path = write_bench(name, output_dir=args.output_dir)
         current[name] = payload
-        if payload["rates"]:
-            rows = [
-                {"policy": policy, payload["unit"]: rate}
-                for policy, rate in payload["rates"].items()
-            ]
-            print(format_table(rows, headers=["policy", payload["unit"]],
-                               title=f"bench {name} "
-                                     f"(best of {args.repeats})"))
-        if payload.get("checks"):
-            rows = [
-                {"check": check,
-                 "value": verdict.get("value"),
-                 "budget": ("-" if verdict.get("budget") is None
-                            else verdict.get("budget")),
-                 "ok": "yes" if verdict.get("ok") else "NO"}
-                for check, verdict in sorted(payload["checks"].items())
-            ]
-            print(format_table(rows,
-                               headers=["check", "value", "budget", "ok"],
-                               title=f"bench {name} (budget checks)"))
+        rows = [
+            {"policy": policy, payload["unit"]: rate}
+            for policy, rate in payload["rates"].items()
+        ]
+        print(format_table(rows, headers=["policy", payload["unit"]],
+                           title=f"bench {name}"))
         print(f"wrote {path}")
-    run.mark("complete")
-    exit_code = 0
-    for name, payload in current.items():
-        for check, verdict in sorted(payload.get("checks", {}).items()):
-            if not verdict.get("ok"):
-                print(f"bench {name}: budget check {check} FAILED",
-                      file=sys.stderr)
-                exit_code = 1
-    if baseline is not None:
-        report = compare(current, baseline, tolerance=args.tolerance)
-        report.notes.extend(baseline_notes)
-        print(report.format())
-        if not report.ok:
-            exit_code = 1
-    return exit_code
+    if baseline is None:
+        return 0
+    report = compare(current, baseline, tolerance=args.tolerance)
+    report.notes.extend(baseline_notes)
+    print(report.format())
+    return 0 if report.ok else 1
 
 
 def cmd_fsck(args) -> int:
@@ -824,9 +713,7 @@ def cmd_validate(args) -> int:
                 kind = "agent"
             elif name.endswith(OBJTRACE_SUFFIXES):
                 kind = "objtrace"
-            elif basename.startswith("BENCH_") and name.endswith(
-                (".json", ".jsonl")
-            ):
+            elif basename.startswith("BENCH_") and name.endswith(".json"):
                 kind = "bench"
             elif name.endswith((".yaml", ".yml", ".json")):
                 kind = "scenario"
@@ -1154,42 +1041,21 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worst decisions to show per cell (default 10)")
 
     bench = commands.add_parser(
-        "bench", help="perf observatory: bench matrix, history, regression "
-                      "gate (BENCH_*.json + BENCH_history.jsonl)"
+        "bench", help="replay phase split: BENCH_*.json snapshots and a "
+                      "regression gate"
     )
     bench.add_argument("which", nargs="?", default="all",
-                       choices=("all", "replay", "objcache", "train",
-                                "overhead", "history"),
-                       help="which benchmark to run, or 'history' to render "
-                            "the recorded trajectory (default all)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timing repeats; best-of-N is reported "
-                            "(default 3)")
+                       choices=("all", "replay", "objcache"),
+                       help="which benchmark to run (default all)")
     bench.add_argument("--output-dir", default=".",
                        help="where to write BENCH_*.json (default: cwd)")
-    bench.add_argument("--run-dir", default=None,
-                       help=f"run-directory root (default {DEFAULT_RUN_ROOT})")
-    bench.add_argument("--resume", metavar="RUN_ID", default=None,
-                       help="resume an interrupted bench run: journaled "
-                            "benchmarks are adopted, the rest are timed")
-    bench.add_argument("--profile", action="store_true",
-                       help="also capture a cProfile flamegraph "
-                            "(collapsed-stack .folded file per bench, "
-                            "written into the run directory)")
     bench.add_argument("--compare", metavar="BASELINE", default=None,
                        help="regression-gate against a baseline (a "
-                            "BENCH_history.jsonl, a directory of "
-                            "BENCH_*.json, or one snapshot); exits 1 on "
-                            "regression")
+                            "directory of BENCH_*.json, or one snapshot); "
+                            "exits 1 on regression")
     bench.add_argument("--tolerance", type=float, default=None,
-                       help="override every family's relative noise "
-                            "threshold (fraction, e.g. 0.5 = 50%%; default: "
-                            "per-family)")
-    bench.add_argument("--history", metavar="PATH", default=None,
-                       help="bench history log to append to / render "
-                            "(default: <output-dir>/BENCH_history.jsonl)")
-    bench.add_argument("--no-history", action="store_true",
-                       help="do not append this run to the history log")
+                       help="override the gate's relative noise "
+                            "threshold (a fraction, e.g. 0.5 = 50%%)")
 
     fsck = commands.add_parser(
         "fsck",
@@ -1272,8 +1138,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="trace (.csv/.csv.gz/.bin), object trace "
                                "(.objtrace/.objcsv), agent (.npz), "
                                "scenario (.yaml/.json), or bench "
-                               "(BENCH_*.json / BENCH_history.jsonl) files "
-                               "to check")
+                               "(BENCH_*.json) files to check")
     validate.add_argument("--kind",
                           choices=("auto", "trace", "objtrace", "agent",
                                    "scenario", "bench"),

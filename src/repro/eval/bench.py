@@ -1,34 +1,33 @@
-"""Throughput micro-benchmarks (``repro bench``): the perf observatory.
+"""Replay phase-split micro-benchmarks (``repro bench``).
 
-A matrix of fixed, small, deterministic workloads, one family per engine:
+Two fixed, small, deterministic families, one per engine:
 
 * **replay**: a CPU workload prepared once (warm prep-cache path, so pass 1
   is excluded) and its recorded LLC stream replayed per policy;
 * **objcache**: the golden object-cache scenario shape (Zipfian trace,
   lognormal inverse-correlated sizes) per object policy, plus the
-  admission-gated variant ``lru+freq_gate``;
-* **train**: one Q-learning epoch over a recorded LLC stream (records/sec);
-* **overhead**: the disabled-path budget guards (telemetry hooks, decision
-  observer loops, telemetry identity) as asserted checks.
+  admission-gated variant ``lru+freq_gate``.
+
+Each key's replay is split into phases, so a regression report can name
+the phase that got slower, not just the number that moved.  The split
+times the one engine, unprofiled: :func:`replay_phases` and
+:func:`objcache_phases` record one sanitizer-off replay (its victims,
+admission verdicts and per-access answers), then time a chain of runs that
+each add one piece to the run before (:mod:`repro.telemetry.perf` names
+them).  The runs before the real policy get :class:`Scripted` stand-ins
+that replay the recorded answers.  Every run after the loop must reproduce
+the recorded result exactly, or the bench raises; the digest of that
+result goes into the payload.  A key's rate is its accesses over the
+split's ``loop_seconds``, the time of the chain's last run: the real
+policy under the configured sanitizer.  So the gate and its phase blame
+read the same runs.
 
 Every payload is schema-versioned (:data:`BENCH_SCHEMA_VERSION`) and stamps
-the environment (python, machine, git SHA + dirty flag).  The replay and
-objcache payloads also split each key's replay into phases, so a
-regression report can name the phase that got slower, not just the number
-that moved.  The split times the one engine, unprofiled:
-:func:`replay_phases` and :func:`objcache_phases` record one
-sanitizer-off replay (its victims, admission verdicts and per-access
-answers), then time a chain of runs that each add one piece to the run
-before (:mod:`repro.telemetry.perf` names them).  The runs before the real
-policy get :class:`Scripted` stand-ins that replay the recorded answers.
-Every run after the loop must reproduce the recorded result exactly, or
-the bench raises; the digest of that result goes into the payload.
-
-Results are committed as ``BENCH_*.json`` at the repo root (one snapshot
-per PR) and appended to ``BENCH_history.jsonl``
-(:mod:`repro.eval.bench_history`) for the regression gate.  Numbers are
-machine-dependent by nature — the history tracks *relative* movement on
-the CI machine class, not absolute truth.
+the environment (python, machine, git SHA + dirty flag).  The snapshots
+are committed as ``BENCH_*.json`` at the repo root, refreshed once per PR,
+so their git history is the trajectory; :func:`compare` gates a fresh run
+against them.  Numbers are machine-dependent by nature — the gate tracks
+*relative* movement with a generous threshold, not absolute truth.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ import dataclasses
 import json
 import platform
 import time
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,18 +44,23 @@ from types import SimpleNamespace
 from repro.telemetry.perf import ENGINES, PhaseProfile
 from repro.telemetry.registry import deterministic_digest
 
-#: Bumped whenever a payload's shape changes (satellite: snapshots must be
-#: correlatable with history — see docs/observability.md).
+#: Bumped whenever a payload's shape changes (snapshots of another schema
+#: still gate on rates, but their phases are not compared).
 #: v2: added schema/git stamps, phases and more bench families.
 #: v3: phases are differences of unprofiled runs, with ``spread_ns``, and
 #: carry the ``digest`` of the result the runs reproduced.
-BENCH_SCHEMA_VERSION = 3
-
-DEFAULT_REPEATS = 3
+#: v4: a rate is ``accesses / loop_seconds`` of its key's phase record, not
+#: a best-of-N plain run, and the payload has no ``repeats``; phases as v3.
+BENCH_SCHEMA_VERSION = 4
 
 #: Timed rounds of the phase split per bench key; the run order rotates
 #: from round to round.
 PHASE_ROUNDS = 8
+
+#: Relative rate drop tolerated before the gate fails.  Generous by design:
+#: CI machines have noisy neighbours, and a gate that cries wolf gets
+#: deleted.  ``--tolerance`` overrides it.
+THRESHOLD = 0.25
 
 CPU_HOOKS = ("on_hit", "on_miss", "on_evict", "on_fill")
 OBJECT_HOOKS = ("on_admit", "on_hit", "on_evict")
@@ -81,41 +86,9 @@ REPLAY_BENCH = {
     "policies": ("lru", "srrip", "drrip", "ship++", "rlr"),
 }
 
-#: One training epoch over a small recorded LLC stream.
-TRAIN_BENCH = {
-    "workload": "429.mcf",
-    "scale": 64,
-    "trace_length": 3000,
-    "seed": 7,
-    "hidden_size": 32,
-    "epochs": 1,
-}
-
-#: The overhead-budget suite (folds the ad-hoc <2% guards into the bench
-#: history so they regress visibly, not silently).
-OVERHEAD_BENCH = {
-    "workload": "429.mcf",
-    "scale": 64,
-    "trace_length": 1500,
-    "seed": 7,
-    "budget": 0.02,
-}
-
 
 def _merged(default: dict, spec) -> dict:
     return dict(default) if spec is None else {**default, **spec}
-
-
-def _best_rate(run, units: int, repeats: int) -> float:
-    """Best-of-N throughput in units/sec (min timing noise, not mean)."""
-    best = 0.0
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        run()
-        elapsed = time.perf_counter() - started
-        if elapsed > 0:
-            best = max(best, units / elapsed)
-    return best
 
 
 def _git_state() -> dict:
@@ -342,14 +315,20 @@ def objcache_phases(requests, capacity_bytes: int, make_policy,
                   calls)
 
 
-def _objcache_runs(spec: dict = None):
-    """The objcache bench trace and one plain replay of it per bench key:
-    a policy name, or ``lru+<gate>`` for a gate in front of LRU."""
-    from repro.objcache import (
-        ObjectCache,
-        generate_object_trace,
-        make_object_policy,
-    )
+def _rates(phases: dict) -> dict:
+    """Each key's accesses/sec over its phase record's ``loop_seconds``."""
+    return {key: round(record["accesses"] / record["loop_seconds"], 1)
+            for key, record in phases.items()}
+
+
+def bench_objcache(spec: dict = None) -> dict:
+    """Accesses/sec of ``ObjectCache.replay`` per policy and admission gate.
+
+    A key is a policy name, or ``lru+<gate>`` for a gate in front of LRU
+    (the other keys admit everything); :func:`objcache_phases` splits
+    each key's replay into phases.
+    """
+    from repro.objcache import generate_object_trace, make_object_policy
     from repro.objcache.admission import make_admission
 
     spec = _merged(OBJCACHE_BENCH, spec)
@@ -359,49 +338,11 @@ def _objcache_runs(spec: dict = None):
         sizes={"dist": "lognormal", "min": 256, "max": 1 << 20,
                "correlate": "inverse"},
     )
-
-    def run(key):
-        policy, _, gate = key.partition("+")
-        cache = ObjectCache(
-            spec["capacity_bytes"], make_object_policy(policy),
-            admission=make_admission(gate) if gate else None,
-        )
-        cache.replay(trace.requests)
-
     keys = list(spec["policies"])
     keys += [f"lru+{gate}" for gate in spec.get("admissions", ())]
-    return trace, {key: partial(run, key) for key in keys}
-
-
-def _replay_runs(spec: dict = None):
-    """The replay bench stream, prepared once (the warm-prep-cache path,
-    so pass 1 stays out of the runs), and one plain replay per policy."""
-    from repro.eval.runner import prepare_workload, replay
-    from repro.eval.workloads import EvalConfig
-
-    spec = _merged(REPLAY_BENCH, spec)
-    config = EvalConfig(scale=spec["scale"],
-                        trace_length=spec["trace_length"], seed=spec["seed"])
-    prepared = prepare_workload(config, config.trace(spec["workload"]))
-    return prepared, {policy: partial(replay, prepared, policy)
-                      for policy in spec["policies"]}
-
-
-def bench_objcache(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
-    """Accesses/sec of ``ObjectCache.replay`` per policy and admission gate.
-
-    Rates are best-of-N over plain replays; :func:`objcache_phases` splits
-    each variant's replay into phases.
-    """
-    from repro.objcache import make_object_policy
-    from repro.objcache.admission import make_admission
-
-    spec = _merged(OBJCACHE_BENCH, spec)
-    trace, runs = _objcache_runs(spec)
-    rates, phases = {}, {}
-    for key, run in runs.items():
+    phases = {}
+    for key in keys:
         policy, _, gate = key.partition("+")
-        rates[key] = round(_best_rate(run, len(trace.requests), repeats), 1)
         phases[key] = objcache_phases(
             trace.requests, spec["capacity_bytes"],
             partial(make_object_policy, policy),
@@ -411,205 +352,293 @@ def bench_objcache(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
         "bench": "objcache",
         "schema": BENCH_SCHEMA_VERSION,
         "unit": "accesses/sec",
-        "repeats": repeats,
         "requests": len(trace.requests),
         "capacity_bytes": spec["capacity_bytes"],
         "environment": _environment(),
-        "rates": rates,
+        "rates": _rates(phases),
         "phases": phases,
     }
 
 
-def bench_replay(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
+def bench_replay(spec: dict = None) -> dict:
     """LLC accesses/sec of the pass-2 replay per CPU policy.
 
-    Rates are best-of-N over the plain replays of :func:`_replay_runs`;
-    :func:`replay_phases` splits each policy's replay into phases.
+    The stream is prepared once (the warm-prep-cache path, so pass 1 stays
+    out of the timing); :func:`replay_phases` splits each policy's replay
+    into phases.
     """
     from repro.cache.replacement import make_policy
+    from repro.eval.runner import prepare_workload
+    from repro.eval.workloads import EvalConfig
 
     spec = _merged(REPLAY_BENCH, spec)
-    prepared, runs = _replay_runs(spec)
-    rates, phases = {}, {}
-    for policy, run in runs.items():
-        rates[policy] = round(
-            _best_rate(run, len(prepared.llc_records), repeats), 1
-        )
-        phases[policy] = replay_phases(
-            prepared, partial(make_policy, policy)
-        ).as_dict()
+    config = EvalConfig(scale=spec["scale"],
+                        trace_length=spec["trace_length"], seed=spec["seed"])
+    prepared = prepare_workload(config, config.trace(spec["workload"]))
+    phases = {
+        policy: replay_phases(prepared, partial(make_policy, policy)).as_dict()
+        for policy in spec["policies"]
+    }
     return {
         "bench": "replay",
         "schema": BENCH_SCHEMA_VERSION,
         "unit": "llc accesses/sec",
-        "repeats": repeats,
         "workload": spec["workload"],
         "trace_length": spec["trace_length"],
         "llc_records": len(prepared.llc_records),
         "environment": _environment(),
-        "rates": rates,
+        "rates": _rates(phases),
         "phases": phases,
-    }
-
-
-def bench_train(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
-    """Records/sec of one Q-learning epoch over a recorded LLC stream."""
-    from repro.eval.workloads import EvalConfig
-    from repro.rl.trainer import (
-        TrainerConfig,
-        llc_stream_records,
-        train_on_stream,
-    )
-
-    spec = _merged(TRAIN_BENCH, spec)
-    config = EvalConfig(scale=spec["scale"],
-                        trace_length=spec["trace_length"], seed=spec["seed"])
-    records = llc_stream_records(config, spec["workload"])
-    llc_config = config.hierarchy().llc
-    trainer_config = TrainerConfig(hidden_size=spec["hidden_size"],
-                                   epochs=spec["epochs"])
-
-    def run():
-        train_on_stream(llc_config, records, trainer_config)
-
-    rate = _best_rate(run, len(records) * spec["epochs"], repeats)
-    return {
-        "bench": "train",
-        "schema": BENCH_SCHEMA_VERSION,
-        "unit": "records/sec",
-        "repeats": repeats,
-        "workload": spec["workload"],
-        "llc_records": len(records),
-        "hidden_size": spec["hidden_size"],
-        "environment": _environment(),
-        "rates": {"qlearner": round(rate, 1)},
-        "phases": {},
-    }
-
-
-def bench_overhead(repeats: int = DEFAULT_REPEATS, spec: dict = None) -> dict:
-    """The disabled-path budget guards as history-tracked checks.
-
-    Each check carries ``value``/``budget``/``ok``; the regression gate
-    fails on any ``ok: false`` regardless of baseline (these are absolute
-    budgets, not relative movements).  Mirrors the structural guards in
-    tests/test_telemetry_overhead.py so the same invariants appear in
-    every bench report.
-    """
-    import timeit
-
-    from repro import telemetry
-    from repro.cache.cache import Cache
-    from repro.cache.replacement import make_policy
-    from repro.eval.runner import prepare_workload, replay
-    from repro.eval.workloads import EvalConfig
-    from repro.telemetry.registry import NULL_REGISTRY
-    from repro.telemetry.spans import NULL_SPAN
-
-    spec = _merged(OVERHEAD_BENCH, spec)
-    budget = spec["budget"]
-    config = EvalConfig(scale=spec["scale"],
-                        trace_length=spec["trace_length"], seed=spec["seed"])
-    prepared = prepare_workload(config, config.trace(spec["workload"]))
-
-    # Mean-of-N denominator (same as the tier-1 guard): the budget bounds
-    # typical replay cost, and a min-of-N denominator would tighten the
-    # ratio artificially under CI load.
-    started = time.perf_counter()
-    result = None
-    for _ in range(max(1, repeats)):
-        result = replay(prepared, "lru")
-    replay_seconds = (time.perf_counter() - started) / max(1, repeats)
-
-    checks = {}
-
-    # Telemetry hooks with telemetry disabled: one span() call per *loop*,
-    # bounded against the smallest replay the sweep engine ever schedules.
-    calls = 2000
-    hook_seconds = timeit.timeit(
-        lambda: telemetry.span("replay", workload="w"), number=calls,
-    ) / calls
-    ratio = hook_seconds / replay_seconds
-    checks["telemetry_hooks_disabled"] = {
-        "value": round(ratio, 6), "budget": budget, "ok": ratio < budget,
-        "unit": "fraction of smallest replay",
-    }
-
-    # Decision log disabled: the only residue is one empty-list loop per
-    # eviction; time that statement on an untraced cache's own list.
-    evictions = result.llc_stats["evictions"]
-    cache = Cache(prepared.llc_config, make_policy("lru"))
-    loop_seconds = timeit.timeit(
-        "for callback in cache.decision_observers: pass",
-        globals={"cache": cache}, number=max(int(evictions), 1),
-    )
-    ratio = loop_seconds / replay_seconds
-    checks["decision_observer_loop"] = {
-        "value": round(ratio, 6), "budget": budget, "ok": ratio < budget,
-        "unit": "fraction of smallest replay",
-    }
-
-    # span()/registry identity: the disabled path binds the shared null
-    # objects, so telemetry-free code pays no allocation.
-    identity = (
-        not telemetry.is_enabled()
-        and telemetry.span("replay") is NULL_SPAN
-        and telemetry.get_registry() is NULL_REGISTRY
-    )
-    checks["telemetry_disabled_identity"] = {
-        "value": 1.0 if identity else 0.0, "budget": None, "ok": identity,
-        "unit": "identity",
-    }
-
-    return {
-        "bench": "overhead",
-        "schema": BENCH_SCHEMA_VERSION,
-        "unit": "budget checks",
-        "repeats": repeats,
-        "workload": spec["workload"],
-        "budget": budget,
-        "environment": _environment(),
-        "rates": {},
-        "checks": checks,
     }
 
 
 BENCHES = {
     "replay": (bench_replay, "BENCH_replay.json"),
     "objcache": (bench_objcache, "BENCH_objcache.json"),
-    "train": (bench_train, "BENCH_train.json"),
-    "overhead": (bench_overhead, "BENCH_overhead.json"),
 }
 
 
-def write_bench(name: str, output_dir=".", repeats: int = DEFAULT_REPEATS,
-                spec: dict = None):
+def write_bench(name: str, output_dir=".", spec: dict = None):
     """Run one named benchmark and write its JSON snapshot; returns
     ``(payload, path)``."""
     from repro.runs.atomic import atomic_write_text
 
     run, filename = BENCHES[name]
-    payload = run(repeats=repeats, spec=spec)
+    payload = run(spec=spec)
     path = Path(output_dir) / filename
     atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return payload, path
 
 
-def capture_flamegraph(name: str, spec: dict = None) -> str:
-    """One cProfile'd bench run folded into flamegraph lines.
+# -- regression gate ------------------------------------------------------------
 
-    Opt-in (``repro bench --profile``).  ``replay`` and ``objcache`` profile
-    their setup and one plain run per key (the runs whose best-of-N gives
-    the rates), not the phase split; the other benches run once.  Returns
-    collapsed-stack text any folded-format flamegraph renderer can draw.
+
+def resolve_baseline(target):
+    """Load a comparison baseline: a directory holding ``BENCH_*.json``
+    snapshots, or one snapshot file.  Returns ``({bench: payload},
+    notes)``."""
+    target = Path(target)
+    if target.is_dir():
+        baseline, notes = {}, []
+        for path in sorted(target.glob("BENCH_*.json")):
+            try:
+                payload = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError as error:
+                notes.append(f"skipped unparseable {path.name}: {error}")
+                continue
+            if isinstance(payload, dict) and payload.get("bench"):
+                baseline[payload["bench"]] = payload
+        return baseline, notes
+    if not target.is_file():
+        raise FileNotFoundError(f"no baseline at {target}")
+    payload = json.loads(target.read_text(encoding="utf-8"))
+    if not isinstance(payload, dict) or not payload.get("bench"):
+        raise ValueError(f"{target} is not a bench payload")
+    return {payload["bench"]: payload}, []
+
+
+@dataclass
+class CompareRow:
+    """One gated rate key."""
+
+    bench: str
+    key: str
+    current: float
+    baseline: float = None  #: None when the key is new
+    delta_pct: float = None
+    threshold_pct: float = None
+    status: str = "ok"  #: ok | improved | new | regression
+
+
+@dataclass
+class PhaseDelta:
+    """Per-access phase growth between baseline and current."""
+
+    bench: str
+    key: str
+    phase: str
+    baseline_ns: float
+    current_ns: float
+    delta_pct: float
+
+
+@dataclass
+class CompareReport:
+    rows: list = field(default_factory=list)
+    phase_deltas: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+
+    @property
+    def regressions(self) -> list:
+        return [row for row in self.rows if row.status == "regression"]
+
+    @property
+    def ok(self) -> bool:
+        return not self.regressions
+
+    def worst_phase(self, bench: str, key: str):
+        """The fastest-growing phase for one (bench, key), or ``None``."""
+        candidates = [
+            delta for delta in self.phase_deltas
+            if delta.bench == bench and delta.key == key
+        ]
+        if not candidates:
+            return None
+        return max(candidates, key=lambda delta: delta.delta_pct)
+
+    def as_dict(self) -> dict:
+        return {
+            "ok": self.ok,
+            "rows": [vars(row) for row in self.rows],
+            "phase_deltas": [vars(delta) for delta in self.phase_deltas],
+            "notes": list(self.notes),
+        }
+
+    def format(self) -> str:
+        lines = []
+        widths = (10, 22, 14, 14, 8, 6, 10)
+        header = ("bench", "key", "baseline", "current", "delta%", "thr%",
+                  "status")
+        lines.append("  ".join(
+            str(col).ljust(width) for col, width in zip(header, widths)
+        ).rstrip())
+        for row in self.rows:
+            cells = (
+                row.bench,
+                row.key,
+                "-" if row.baseline is None else f"{row.baseline:.1f}",
+                f"{row.current:.1f}",
+                "-" if row.delta_pct is None else f"{row.delta_pct:+.1f}",
+                "-" if row.threshold_pct is None
+                else f"{row.threshold_pct:.0f}",
+                row.status,
+            )
+            lines.append("  ".join(
+                str(col).ljust(width) for col, width in zip(cells, widths)
+            ).rstrip())
+        for row in self.regressions:
+            blame = self.worst_phase(row.bench, row.key)
+            detail = (
+                f"  REGRESSION {row.bench}/{row.key}: "
+                f"{-row.delta_pct:.1f}% below baseline "
+                f"(threshold {row.threshold_pct:.0f}%)"
+            )
+            if blame is not None and blame.delta_pct > 0:
+                detail += (
+                    f"; slowest-growing phase: {blame.phase} "
+                    f"({blame.delta_pct:+.1f}%, {blame.baseline_ns:.1f} -> "
+                    f"{blame.current_ns:.1f} ns/access)"
+                )
+            lines.append(detail)
+        regressed = {(row.bench, row.key) for row in self.regressions}
+        shown = [
+            delta for delta in self.phase_deltas
+            if (delta.bench, delta.key) in regressed
+        ]
+        if shown:
+            lines.append("")
+            lines.append("per-phase deltas (ns/access) for regressed benches:")
+            phase_widths = (10, 22, 20, 12, 12, 8)
+            phase_header = ("bench", "key", "phase", "baseline", "current",
+                            "delta%")
+            lines.append("  ".join(
+                str(col).ljust(width)
+                for col, width in zip(phase_header, phase_widths)
+            ).rstrip())
+            for delta in shown:
+                cells = (
+                    delta.bench, delta.key, delta.phase,
+                    f"{delta.baseline_ns:.1f}", f"{delta.current_ns:.1f}",
+                    f"{delta.delta_pct:+.1f}",
+                )
+                lines.append("  ".join(
+                    str(col).ljust(width)
+                    for col, width in zip(cells, phase_widths)
+                ).rstrip())
+        for note in self.notes:
+            lines.append(f"  note: {note}")
+        verdict = "PASS" if self.ok else (
+            f"FAIL: {len(self.regressions)} regression(s)"
+        )
+        lines.append(verdict)
+        return "\n".join(lines)
+
+
+def _phase_deltas(bench: str, key: str, baseline_phases: dict,
+                  current_phases: dict) -> list:
+    deltas = []
+    base = (baseline_phases or {}).get(key, {}).get("phases", {})
+    curr = (current_phases or {}).get(key, {}).get("phases", {})
+    for phase in sorted(set(base) & set(curr)):
+        baseline_ns = float(base[phase].get("per_access_ns", 0.0))
+        current_ns = float(curr[phase].get("per_access_ns", 0.0))
+        if baseline_ns <= 0.0 and current_ns <= 0.0:
+            continue
+        delta_pct = (
+            (current_ns - baseline_ns) / baseline_ns * 100.0
+            if baseline_ns > 0 else float("inf")
+        )
+        deltas.append(PhaseDelta(bench, key, phase, baseline_ns, current_ns,
+                                 delta_pct))
+    return deltas
+
+
+def compare(current: dict, baseline: dict,
+            tolerance: float = None) -> CompareReport:
+    """Gate ``current`` bench payloads against ``baseline`` ones.
+
+    ``current`` and ``baseline`` map bench name -> payload.  A rate below
+    ``(1 - threshold) x baseline`` is a regression, where ``threshold`` is
+    ``tolerance`` (a fraction, e.g. ``0.5`` = 50%; the CI knob for
+    generous noise bounds) or :data:`THRESHOLD`.  A key missing from the
+    baseline is ``new``, never a failure, so adding a key cannot break
+    the gate that protects it.  Per-access phase growth is compared only
+    between payloads of one schema, and a key whose ``digest`` changed
+    gets a note that its rate now times a different simulation.
     """
-    from repro.telemetry.perf import capture_collapsed
-
-    plain_runs = {"replay": _replay_runs, "objcache": _objcache_runs}.get(name)
-    if plain_runs is None:
-        target = partial(BENCHES[name][0], repeats=1, spec=spec)
-    else:
-        def target():
-            for run in plain_runs(spec)[1].values():
-                run()
-    return capture_collapsed(target)[1]
+    threshold = THRESHOLD if tolerance is None else tolerance
+    report = CompareReport()
+    for bench in sorted(current):
+        payload = current[bench]
+        base_payload = baseline.get(bench) or {}
+        base_rates = base_payload.get("rates", {})
+        for key in sorted(payload.get("rates", {})):
+            rate = float(payload["rates"][key])
+            if key not in base_rates:
+                report.rows.append(CompareRow(bench, key, rate, status="new"))
+                continue
+            base_rate = float(base_rates[key])
+            delta_pct = (
+                (rate - base_rate) / base_rate * 100.0 if base_rate > 0
+                else 0.0
+            )
+            if base_rate > 0 and rate < base_rate * (1.0 - threshold):
+                status = "regression"
+            elif base_rate > 0 and rate > base_rate * (1.0 + threshold):
+                status = "improved"
+            else:
+                status = "ok"
+            report.rows.append(CompareRow(
+                bench, key, rate, baseline=base_rate, delta_pct=delta_pct,
+                threshold_pct=threshold * 100.0, status=status,
+            ))
+            if base_payload.get("schema") == payload.get("schema"):
+                report.phase_deltas.extend(_phase_deltas(
+                    bench, key, base_payload.get("phases"),
+                    payload.get("phases"),
+                ))
+            old, new = (
+                ((side.get("phases") or {}).get(key) or {}).get("digest")
+                for side in (base_payload, payload)
+            )
+            if old and new and old != new:
+                report.notes.append(
+                    f"{bench}/{key} simulated a different result "
+                    f"(digest {old[:12]} -> {new[:12]}): its rate is not "
+                    f"timing the same work as the baseline's"
+                )
+    for bench in sorted(set(baseline) - set(current)):
+        report.notes.append(
+            f"baseline bench {bench!r} was not run this time (not gated)"
+        )
+    return report

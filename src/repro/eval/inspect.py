@@ -24,6 +24,7 @@ from repro.eval.timeline import render_sparkline
 from repro.eval.victim_analysis import VictimStatistics
 from repro.telemetry.decisions import (
     KIND_EVICT,
+    cell_label,
     event_from_json,
     is_object_cell,
     read_decision_log,
@@ -49,21 +50,22 @@ def load_decision_cells(path, workload: str = None, policy: str = None) -> list:
 
 
 def regret_rows(cells) -> list:
-    """One regret-summary row per cell (for the top-level table)."""
+    """One regret-summary row per cell (for the top-level table), with a
+    ``seed`` column when any cell carries one."""
+    seeded = any("seed" in cell for cell in cells)
     rows = []
     for cell in cells:
         summary = cell.get("summary", {})
         graded = summary.get("graded", 0)
-        row = {
-            "workload": cell.get("workload"),
-            "policy": cell.get("policy"),
-            "evictions": summary.get("evictions", 0),
-            "graded": graded,
-        }
+        row = {"workload": cell.get("workload"), "policy": cell.get("policy")}
+        if seeded:
+            row["seed"] = cell.get("seed", "-")
+        row["evictions"] = summary.get("evictions", 0)
+        row["graded"] = graded
         if graded:
             row["optimal%"] = round(100 * summary["optimal"] / graded, 2)
             row["harmful%"] = round(100 * summary["harmful"] / graded, 2)
-            row["regret"] = round(summary["regret_x2"] / (2 * graded), 4)
+            row["regret"] = f"{summary['regret_x2'] / (2 * graded):.4f}"
         else:
             row["optimal%"] = row["harmful%"] = row["regret"] = "-"
         rows.append(row)
@@ -185,16 +187,13 @@ def render_inspection(cells, top: int = 10) -> str:
     """
     if any(is_object_cell(cell) for cell in cells):
         return _render_object_inspection(cells, top=top)
-    blocks = [format_table(
-        regret_rows(cells),
-        headers=["workload", "policy", "evictions", "graded",
-                 "optimal%", "harmful%", "regret"],
-        title=f"decision log: {len(cells)} cell(s)",
-    )]
+    rows = regret_rows(cells)
+    blocks = [format_table(rows, headers=list(rows[0]),
+                           title=f"decision log: {len(cells)} cell(s)")]
     for cell in cells:
         summary = cell.get("summary", {})
         title = (
-            f"=== {cell.get('workload')} / {cell.get('policy')} "
+            f"=== {cell_label(cell)} "
             f"(sample rate {cell.get('sample_rate', 1)}, "
             f"{summary.get('sampled', 0)} of {summary.get('evictions', 0)} "
             f"evictions logged"
@@ -225,12 +224,9 @@ def _render_object_inspection(cells, top: int = 10) -> str:
     victims (sampled events)."""
     from repro.telemetry.object_decisions import render_size_profile
 
-    blocks = [format_table(
-        regret_rows(cells),
-        headers=["workload", "policy", "evictions", "graded",
-                 "optimal%", "harmful%", "regret"],
-        title=f"object decision log: {len(cells)} cell(s)",
-    )]
+    rows = regret_rows(cells)
+    blocks = [format_table(rows, headers=list(rows[0]),
+                           title=f"object decision log: {len(cells)} cell(s)")]
     blocks.append(render_size_profile(cells))
     for cell in cells:
         events = sorted(
@@ -254,8 +250,7 @@ def _render_object_inspection(cells, top: int = 10) -> str:
             rows,
             headers=["index", "key", "size", "bucket", "age", "hits",
                      "seen", "incoming", "grade"],
-            title=(f"{cell.get('workload')} / {cell.get('policy')}: "
-                   f"largest sampled victims"),
+            title=f"{cell_label(cell)}: largest sampled victims",
         ))
     return "\n\n".join(blocks)
 

@@ -1,7 +1,7 @@
 """Run directories: durable state for resumable long-running commands.
 
 A *run* is one invocation of a long-running entry point (``repro sweep``,
-``repro bench``, ``repro replay --decisions``).  Its directory holds
+``repro replay --decisions``).  Its directory holds
 everything needed to resume after a crash:
 
 .. code-block:: text

@@ -224,38 +224,13 @@ def validate_scenario_file(path) -> ValidationReport:
 
 
 def validate_bench_file(path) -> ValidationReport:
-    """Preflight a ``BENCH_*.json`` snapshot or ``BENCH_history.jsonl`` log.
-
-    Snapshots are schema-checked (bench name, schema version, numeric
-    rates, environment with a git stamp, phase-sum reconciliation within
-    1%); history logs are CRC-scanned with the journal framing, reporting
-    damaged lines as errors (``repro fsck`` repairs them by tail
-    truncation).
-    """
+    """Preflight a ``BENCH_*.json`` snapshot: bench name, schema version,
+    numeric rates, environment with a git stamp, and phase-sum
+    reconciliation within 1%."""
     import json
 
     path = Path(path)
     report = ValidationReport(target=str(path), kind="bench")
-    if path.suffix == ".jsonl":
-        from repro.eval.bench_history import load_history
-
-        try:
-            payloads, damage = load_history(path)
-        except OSError as error:
-            report.fail(f"cannot read history: {error}")
-            return report
-        for number, problem in damage:
-            report.fail(f"history line {number}: {problem}")
-        problems = 0
-        for index, payload in enumerate(payloads, start=1):
-            for problem in _bench_payload_problems(payload):
-                report.warn(f"entry {index}: {problem}")
-                problems += 1
-        report.summary = (
-            f"bench history: {len(payloads)} valid entr(ies), "
-            f"{len(damage)} damaged line(s), {problems} schema warning(s)"
-        )
-        return report
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError as error:
@@ -272,24 +247,19 @@ def validate_bench_file(path) -> ValidationReport:
     if report.ok:
         git = payload.get("environment", {}).get("git", {}) or {}
         sha = (git.get("sha") or "untracked")[:10]
-        quantities = len(payload.get("rates", {})) + len(
-            payload.get("checks", {})
-        )
         report.summary = (
             f"bench {payload.get('bench')!r} schema "
-            f"{payload.get('schema')}: {quantities} gated quantit(ies), "
+            f"{payload.get('schema')}: {len(payload['rates'])} rate(s), "
             f"git {sha}"
         )
     return report
 
 
 def _bench_payload_problems(payload: dict) -> list:
-    """Schema problems with one bench payload (shared snapshot/history)."""
+    """Schema problems with one bench snapshot."""
     from repro.eval.bench import BENCH_SCHEMA_VERSION, BENCHES
 
     problems = []
-    if not isinstance(payload, dict):
-        return ["payload is not an object"]
     name = payload.get("bench")
     if name not in BENCHES:
         problems.append(
@@ -321,9 +291,6 @@ def _bench_payload_problems(payload: dict) -> list:
         for key, rate in sorted(rates.items()):
             if not isinstance(rate, (int, float)) or rate < 0:
                 problems.append(f"rate {key!r} is not a number >= 0: {rate!r}")
-    for key, check in sorted((payload.get("checks") or {}).items()):
-        if not isinstance(check, dict) or "ok" not in check:
-            problems.append(f"check {key!r} has no ok verdict")
     for key, profile in sorted((payload.get("phases") or {}).items()):
         reconciliation = (
             profile.get("reconciliation") if isinstance(profile, dict)

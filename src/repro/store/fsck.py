@@ -29,8 +29,8 @@ Repair policy (``repair=True``), per the reliability contract:
   journal underneath its live writer); a stale manifest entry for an
   artifact that *genuinely self-verifies* (frames, CRC journals, validated
   logs, goldens) is re-recorded — a mismatch on a file with no self-check
-  (``report.csv``, plain JSON) stays *detected*, because the manifest
-  digest is the only evidence of the corruption; a corrupt prep-cache
+  (plain JSON such as ``metrics.json``) stays *detected*, because the
+  manifest digest is the only evidence of the corruption; a corrupt prep-cache
   entry is quarantined (the ordinary miss path rebuilds it on next
   access);
 * **everything else is quarantined** — moved under ``quarantine/`` with a
@@ -66,8 +66,9 @@ REBUILDABLE_FAMILIES = ("prep-cache",)
 #: + format validation, a golden's internal digest) — strong enough that a
 #: manifest digest disagreeing with the file means the *manifest* is stale.
 #: ``UNVERIFIED`` means fsck had nothing to check the content against
-#: (``report.csv``, plain JSON documents): the manifest digest is the sole
-#: integrity anchor for such files, so a mismatch is never auto-resolved.
+#: (plain JSON documents such as ``metrics.json``): the manifest digest is
+#: the sole integrity anchor for such files, so a mismatch is never
+#: auto-resolved.
 VERIFIED = "verified"
 UNVERIFIED = "unverified"
 DAMAGED = "damaged"
@@ -636,10 +637,10 @@ def fsck_run_dir(directory, repair: bool = False) -> FsckReport:
                     finding.note = ("manifest digest re-recorded from the "
                                     "verified artifact")
                 else:
-                    # No self-check exists for this file (report.csv, plain
-                    # JSON): the manifest digest is its *only* integrity
-                    # anchor, so re-recording would erase the sole evidence
-                    # of the corruption.  Stays detected; both digests are
+                    # No self-check exists for this file (plain JSON such
+                    # as metrics.json): the manifest digest is its *only*
+                    # integrity anchor, so re-recording would erase the
+                    # sole evidence of the corruption.  Stays detected; both digests are
                     # preserved above for the operator to decide.
                     finding.detail += (
                         "; the file has no self-check, so fsck cannot tell "

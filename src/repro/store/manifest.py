@@ -1,12 +1,11 @@
 """Per-directory artifact manifests (``artifacts.json``).
 
-A manifest records, for every durable artifact under one directory (a run
-directory, a bench output, ...), its byte length and SHA-256 digest plus
-the artifact family that wrote it.  It is the cross-artifact integrity
-anchor: an individual file can self-verify through its frames or per-line
-checksums, but only the manifest can say *"metrics.json no longer holds the
-bytes the run produced"* or *"the decision log this run recorded is
-missing"*.
+A manifest records, for every durable artifact under one run directory,
+its byte length and SHA-256 digest plus the artifact family that wrote
+it.  It is the cross-artifact integrity anchor: an individual file can
+self-verify through its frames or per-line checksums, but only the
+manifest can say *"metrics.json no longer holds the bytes the run
+produced"* or *"the decision log this run recorded is missing"*.
 
 Updates are atomic JSON rewrites (the manifest is small).  A crash
 between writing an artifact and recording it leaves a *stale* manifest —

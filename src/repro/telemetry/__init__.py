@@ -32,12 +32,7 @@ See docs/observability.md for the file formats and CLI surfacing
 
 from __future__ import annotations
 
-from repro.telemetry.perf import (
-    PHASES,
-    PhaseProfile,
-    capture_collapsed,
-    collapse_profile,
-)
+from repro.telemetry.perf import PHASES, PhaseProfile
 from repro.telemetry.registry import (
     MAGNITUDE_BUCKETS,
     NULL_REGISTRY,
@@ -70,8 +65,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "canonical_json",
-    "capture_collapsed",
-    "collapse_profile",
     "configure",
     "deterministic_digest",
     "emit_span",

@@ -472,6 +472,13 @@ def is_object_cell(cell: dict) -> bool:
     return "size_buckets" in cell
 
 
+def cell_label(cell: dict) -> str:
+    """``workload / policy``, plus ``/ seed N`` when the cell names its seed
+    (a sweep's cells do, so a multi-seed log tells its cells apart)."""
+    label = f"{cell.get('workload')} / {cell.get('policy')}"
+    return f"{label} / seed {cell['seed']}" if "seed" in cell else label
+
+
 def write_decisions_jsonl(path, cells) -> Path:
     """Atomically write the JSONL decision log for ``cells``.
 

@@ -23,6 +23,7 @@ from repro.objcache.oracle import (
     GRADE_OPTIMAL,
     grade_object_eviction,
 )
+from repro.telemetry.decisions import cell_label
 
 DEFAULT_RING_CAPACITY = 4096
 
@@ -166,10 +167,7 @@ def render_size_profile(cells) -> str:
     graded regret concentrated there."""
     blocks = []
     for cell in cells:
-        lines = [
-            f"{cell.get('workload')} / {cell.get('policy')} — "
-            f"size-vs-victim profile"
-        ]
+        lines = [f"{cell_label(cell)} — size-vs-victim profile"]
         summary = cell.get("summary", {})
         lines.append(
             "  evictions {evictions}  bytes {evicted_bytes}  graded "

@@ -24,7 +24,8 @@ phase                  what its run adds to the run before
 =====================  =======================================================
 
 :class:`PhaseProfile` is the record: it reduces timed rounds of those runs
-to per-phase seconds whose sum is the replay's wall time, with each
+to per-phase seconds whose sum is the replay's wall time
+(``loop_seconds``, which also gives the bench key's rate), with each
 phase's spread over the rounds.  Timings are noisy; the *structure* (phase
 names, call counts, access count and the digest of the simulated result)
 is a pure function of the deterministic simulation, so
@@ -173,49 +174,3 @@ def _interquartile_range(values: list) -> float:
     first, _, third = quantiles(values, n=4, method="inclusive")
     return third - first
 
-
-# -- flamegraph capture -------------------------------------------------------
-
-
-def _frame_name(code) -> str:
-    if isinstance(code, str):
-        return code.replace(" ", "_")
-    from pathlib import Path
-
-    return f"{Path(code.co_filename).name}:{code.co_firstlineno}:{code.co_name}"
-
-
-def collapse_profile(profile) -> str:
-    """Collapsed-stack ("folded") lines from a ``cProfile.Profile``.
-
-    Two-level approximation in the style of flameprof: one line per
-    function with its self time, one ``caller;callee`` line per observed
-    edge with the callee's inclusive time, weights in integer microseconds.
-    Any flamegraph renderer that accepts Brendan Gregg's folded format can
-    draw it.  Lines are sorted so the artifact is deterministic given the
-    same capture.
-    """
-    lines = []
-    for entry in profile.getstats():
-        name = _frame_name(entry.code)
-        self_us = int(round(entry.inlinetime * 1e6))
-        if self_us > 0:
-            lines.append(f"{name} {self_us}")
-        for sub in entry.calls or ():
-            edge_us = int(round(sub.totaltime * 1e6))
-            if edge_us > 0:
-                lines.append(f"{name};{_frame_name(sub.code)} {edge_us}")
-    return "\n".join(sorted(lines)) + "\n"
-
-
-def capture_collapsed(fn):
-    """Run ``fn()`` under cProfile; returns ``(result, folded_text)``."""
-    import cProfile
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = fn()
-    finally:
-        profiler.disable()
-    return result, collapse_profile(profiler)

@@ -322,6 +322,29 @@ class TestReplayCommand:
         assert "sample rate" in captured.err
 
 
+#: One workload x two policies x two seeds per cache kind, so a decision
+#: log holds each (workload, policy) twice.
+TWO_SEED_SCENARIOS = {
+    "cpu_cache": {
+        "format": 1,
+        "name": "two-seeds-cpu",
+        "config": {"scale": 64, "trace_length": 800, "seed": 3},
+        "workloads": ["450.soplex"],
+        "policies": ["lru", "srrip"],
+        "seeds": [3, 4],
+    },
+    "object_cache": {
+        "format": 1,
+        "kind": "object_cache",
+        "name": "two-seeds-object",
+        "config": {"capacity_bytes": 50_000, "requests": 500},
+        "workloads": [{"name": "z1", "kind": "zipf", "objects": 100}],
+        "policies": ["lru", "gdsf"],
+        "seeds": [3, 4],
+    },
+}
+
+
 class TestInspectCommand:
     def test_missing_run_is_clean_error(self, capsys):
         code = main(["inspect", "run-9999"])
@@ -371,6 +394,37 @@ class TestInspectCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert "no decision-log cells match" in captured.err
+
+    @pytest.mark.parametrize("kind", sorted(TWO_SEED_SCENARIOS))
+    def test_multi_seed_log_names_each_cells_seed(self, capsys, tmp_path,
+                                                  kind):
+        import json
+
+        scenario = TWO_SEED_SCENARIOS[kind]
+        path = tmp_path / "two-seeds.json"
+        path.write_text(json.dumps(scenario))
+        code, sweep_out = run_cli(capsys, "sweep", "--scenario", str(path),
+                                  "--decisions",
+                                  "--run-dir", str(tmp_path / "runs"))
+        assert code == 0
+        code, out = run_cli(capsys, "inspect",
+                            str(tmp_path / "runs" / "run-0001"))
+        assert code == 0
+        names = [workload["name"] if isinstance(workload, dict) else workload
+                 for workload in scenario["workloads"]]
+        cells = {(workload, policy, str(seed))
+                 for workload in names
+                 for policy in scenario["policies"]
+                 for seed in scenario["seeds"]}
+        table = out.split("\n\n")[0].splitlines()
+        assert table[1].split()[:3] == ["workload", "policy", "seed"]
+        rows = [tuple(line.split()[:3]) for line in table[3:]]
+        assert sorted(rows) == sorted(cells)  # each cell once, seed named
+        for workload, policy, seed in cells:
+            assert f"{workload} / {policy} / seed {seed}" in out
+        # The sweep's own regret table is built from the same rows.
+        sweep_table = sweep_out[sweep_out.index("Belady regret per cell"):]
+        assert table[1] in sweep_table.splitlines()
 
 
 class TestTrainMetrics:

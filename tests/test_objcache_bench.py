@@ -28,7 +28,7 @@ def tiny_specs(monkeypatch):
 
 class TestObjcacheBench:
     def test_payload_shape_and_rates(self, tiny_specs):
-        payload = bench_mod.bench_objcache(repeats=1)
+        payload = bench_mod.bench_objcache()
         assert payload["bench"] == "objcache"
         assert payload["unit"] == "accesses/sec"
         assert payload["requests"] == 800
@@ -37,16 +37,15 @@ class TestObjcacheBench:
         assert "python" in payload["environment"]
 
     def test_write_bench_round_trips_json(self, tiny_specs, tmp_path):
-        payload, path = bench_mod.write_bench(
-            "objcache", output_dir=tmp_path, repeats=1
-        )
+        payload, path = bench_mod.write_bench("objcache",
+                                              output_dir=tmp_path)
         assert path.name == "BENCH_objcache.json"
         assert json.loads(path.read_text()) == payload
 
 
 class TestReplayBench:
     def test_payload_shape_and_rates(self, tiny_specs):
-        payload = bench_mod.bench_replay(repeats=1)
+        payload = bench_mod.bench_replay()
         assert payload["bench"] == "replay"
         assert payload["llc_records"] > 0
         assert payload["rates"]["lru"] > 0
@@ -54,17 +53,13 @@ class TestReplayBench:
     def test_write_bench_targets_the_committed_filename(
         self, tiny_specs, tmp_path
     ):
-        _, path = bench_mod.write_bench(
-            "replay", output_dir=tmp_path, repeats=1
-        )
+        _, path = bench_mod.write_bench("replay", output_dir=tmp_path)
         assert path.name == "BENCH_replay.json"
 
 
 class TestRegistry:
     def test_benches_map_names_to_committed_files(self):
-        assert set(bench_mod.BENCHES) == {
-            "objcache", "replay", "train", "overhead"
-        }
+        assert set(bench_mod.BENCHES) == {"objcache", "replay"}
         for run, filename in bench_mod.BENCHES.values():
             assert callable(run)
             assert filename.startswith("BENCH_")

@@ -1,4 +1,4 @@
-"""Crash-safe resume for object-cache sweeps and ``repro bench``.
+"""Crash-safe resume for object-cache sweeps.
 
 The contract mirrors the scalar sweep's: every completed cell is durably
 journaled as it finishes, so the state a SIGKILL leaves behind — a journal
@@ -8,11 +8,8 @@ covered by ``test_store_atomic_crash`` / ``test_fsck_chaos``; here the
 journal contents stand in for the post-SIGKILL state.)
 """
 
-import json
-
 import pytest
 
-from repro.cli import main
 from repro.objcache import generate_object_trace, object_sweep
 from repro.runs.journal import RunJournal
 
@@ -92,35 +89,3 @@ class TestObjectSweepJournal:
             policy for _ in traces for policy in sorted(POLICIES)
         ]
 
-
-class TestBenchResume:
-    def test_adopted_bench_snapshots_are_byte_identical(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "out"
-        out.mkdir()
-        code = main(["bench", "objcache", "--repeats", "1",
-                     "--output-dir", str(out),
-                     "--run-dir", str(tmp_path / "runs")])
-        assert code == 0
-        capsys.readouterr()
-        snapshot = next(out.glob("BENCH_*.json"))
-        original = snapshot.read_bytes()
-        run_id = next((tmp_path / "runs").iterdir()).name
-
-        # SIGKILL after the journal append but before anything else: the
-        # snapshot file is gone, the journal survives.
-        snapshot.unlink()
-        code = main(["bench", "objcache", "--repeats", "1",
-                     "--output-dir", str(out),
-                     "--run-dir", str(tmp_path / "runs"),
-                     "--resume", run_id])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "adopted from journal" in captured.err
-        assert snapshot.read_bytes() == original
-
-        manifest = json.loads(
-            (tmp_path / "runs" / run_id / "manifest.json").read_text()
-        )
-        assert manifest["status"] == "complete"

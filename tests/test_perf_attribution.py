@@ -10,7 +10,6 @@ tested on synthetic rounds; the drivers on small real streams.
 """
 
 import dataclasses
-import re
 from functools import partial
 from statistics import quantiles
 
@@ -23,7 +22,6 @@ from repro.eval.bench import (
     OBJECT_HOOKS,
     PHASE_ROUNDS,
     Scripted,
-    capture_flamegraph,
     objcache_phases,
     replay_phases,
 )
@@ -36,12 +34,7 @@ from repro.objcache import (
 )
 from repro.objcache.admission import make_admission
 from repro.objcache.policies import object_policy_names
-from repro.telemetry.perf import (
-    ENGINES,
-    PHASES,
-    PhaseProfile,
-    capture_collapsed,
-)
+from repro.telemetry.perf import ENGINES, PHASES, PhaseProfile
 from repro.telemetry.registry import deterministic_digest
 
 CAPACITY = 500_000
@@ -343,43 +336,3 @@ class TestStructureDeterminism:
                         [1.1, 1.2, 1.3, 2.4, 2.45, 2.5]])
         assert profile.structure_digest() == digest
 
-
-class TestFlamegraphCapture:
-    def test_capture_collapsed_returns_result_and_folded_lines(self):
-        result, folded = capture_collapsed(lambda: sum(range(5000)))
-        assert result == sum(range(5000))
-        lines = folded.strip().splitlines()
-        assert lines == sorted(lines)
-        for line in lines:
-            name, _, weight = line.rpartition(" ")
-            assert name
-            assert int(weight) > 0
-
-    def test_caller_callee_edges_appear_in_the_folded_output(self):
-        def inner():
-            return sum(value * value for value in range(50_000))
-
-        def busy():
-            return [inner() for _ in range(5)]
-
-        _, folded = capture_collapsed(busy)
-        assert folded.endswith("\n")
-        edges = [line for line in folded.splitlines() if ";" in line]
-        assert any("inner" in edge for edge in edges)
-
-    @pytest.mark.parametrize("name, spec", [
-        ("replay", {"workload": "429.mcf", "scale": 64,
-                    "trace_length": 1200, "policies": ("lru", "rlr")}),
-        ("objcache", {"objects": 300, "length": 1500,
-                      "capacity_bytes": CAPACITY,
-                      "policies": ("lru", "rlr"),
-                      "admissions": ("freq_gate",)}),
-    ], ids=["replay", "objcache"])
-    def test_bench_profile_holds_plain_runs_not_the_split(self, name, spec):
-        folded = capture_flamegraph(name, spec=spec)
-        frames = {frame for line in folded.splitlines()
-                  for frame in line.rpartition(" ")[0].split(";")}
-        assert any(re.fullmatch(r"cache\.py:\d+:access", frame)
-                   for frame in frames)
-        for split_frame in (":_split", ":replay_phases", ":objcache_phases"):
-            assert not any(frame.endswith(split_frame) for frame in frames)
